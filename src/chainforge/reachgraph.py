@@ -56,9 +56,6 @@ class ReachGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def vertex(self, idx: int) -> Vertex:
-        return self.vertices[idx]
-
     def edges(self) -> list[tuple[int, int, int]]:
         return sorted((a, b, w) for (a, b), w in self.weights.items())
 
@@ -135,8 +132,7 @@ def target_pairs(g: ReachGraph) -> list[tuple[int, int]]:
 
 def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
                       k_max: int, *, exhaust: bool = False,
-                      cache: Optional[WeightCache] = None,
-                      restrict_names: Optional[set] = None) -> BuildOutcome:
+                      cache: Optional[WeightCache] = None) -> BuildOutcome:
     """Grow the abstraction one depth at a time until a covering path
     exists (or, with exhaust=True, until every pair is resolved), giving
     each pair the minimal depth at which it is witnessed."""

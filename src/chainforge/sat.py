@@ -39,7 +39,18 @@ class SolveResult:
 
 class Solver:
     """CDCL with two-watched literals, activity-based decisions, phase
-    saving, Luby restarts, and minisat-style assumption handling."""
+    saving, Luby restarts, and minisat-style assumption handling.
+
+    Decisions pick the unassigned variable of highest activity, the lowest
+    index on ties.  `score` holds a variable's activity while it is
+    unassigned and -1.0 once it is assigned (slot 0 is always -1.0), so a
+    decision is `score.index(max(score))`, two C-level passes.  A solve on
+    an unrolled model makes few decisions but assigns most of the formula,
+    so keeping this list current costs less than putting variables back
+    into a heap on every backtrack.  Propagation stops watching a clause
+    once its first watched literal is true at level 0, as every retired
+    guard's clauses end up: it can never imply or conflict again.  The
+    clause stays in `clauses`."""
 
     def __init__(self, conflict_budget: Optional[int] = None,
                  deadline: Optional[float] = None, verify_models: bool = False):
@@ -50,7 +61,9 @@ class Solver:
         self.level: list[int] = [0]
         self.reason: list[Optional[int]] = [None]
         self.activity: list[float] = [0.0]
+        self.score: list[float] = [-1.0]      # activity if unassigned, else -1.0
         self.phase: list[bool] = [False]
+        self.seen: list[bool] = [False]       # analysis marks, all False between calls
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -71,7 +84,9 @@ class Solver:
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
+        self.score.append(0.0)
         self.phase.append(False)
+        self.seen.append(False)
         self.watches[v] = []
         self.watches[-v] = []
         return v
@@ -84,18 +99,16 @@ class Solver:
         if not self.ok:
             return
         self._backtrack(0)
+        # every assigned variable is now at level 0
         out: list[int] = []
-        seen = set()
         for l in lits:
-            if l in seen:
-                continue
-            if -l in seen:
-                return  # tautology
-            if self._value(l) == 1 and self.level[abs(l)] == 0:
+            val = self._value(l)
+            if val == 1:
                 return  # already satisfied for good
-            if self._value(l) == -1 and self.level[abs(l)] == 0:
-                continue  # permanently false literal
-            seen.add(l)
+            if val == -1 or l in out:
+                continue  # permanently false or repeated literal
+            if -l in out:
+                return  # tautology
             out.append(l)
         if not out:
             self.ok = False
@@ -123,30 +136,38 @@ class Solver:
         self.assign[v] = 1 if lit > 0 else -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
+        self.score[v] = -1.0
         self.trail.append(lit)
         return True
 
     def _backtrack(self, lvl: int) -> None:
-        if len(self.trail_lim) <= lvl:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
             return
-        bound = self.trail_lim[lvl]
-        for lit in reversed(self.trail[bound:]):
-            v = abs(lit)
-            self.phase[v] = lit > 0
-            self.assign[v] = 0
-            self.reason[v] = None
-        del self.trail[bound:]
-        del self.trail_lim[lvl:]
-        self.qhead = min(self.qhead, len(self.trail))
+        bound = trail_lim[lvl]
+        trail = self.trail
+        assign, phase = self.assign, self.phase
+        score, activity = self.score, self.activity
+        for lit in trail[bound:]:
+            v = lit if lit > 0 else -lit
+            assign[v] = 0
+            phase[v] = lit > 0
+            score[v] = activity[v]
+        del trail[bound:]
+        del trail_lim[lvl:]
+        self.qhead = min(self.qhead, len(trail))
 
     def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause index or None."""
-        clauses = self.clauses
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -lit
-            watch = self.watches[false_lit]
+        """Unit propagation; returns a conflicting clause index or None.
+        `_value` and `_enqueue` are inlined over local bindings."""
+        clauses, watches, trail = self.clauses, self.watches, self.trail
+        assign, level, reason, score = self.assign, self.level, self.reason, self.score
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watch = watches[false_lit]
             i = j = 0
             n = len(watch)
             while i < n:
@@ -154,50 +175,65 @@ class Solver:
                 i += 1
                 c = clauses[ci]
                 # make sure c[1] is the false literal
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], c[0]
                 first = c[0]
-                if self._value(first) == 1:
+                if first == false_lit:
+                    first = c[0] = c[1]
+                    c[1] = false_lit
+                if first > 0:
+                    v, val = first, assign[first]
+                else:
+                    v, val = -first, -assign[-first]
+                if val == 1:
+                    if level[v]:
+                        watch[j] = ci
+                        j += 1
+                    # else: satisfied at level 0 for good; stop watching
+                    continue
+                for k in range(2, len(c)):
+                    q = c[k]
+                    if (assign[q] if q > 0 else -assign[-q]) != -1:
+                        c[1] = q
+                        c[k] = false_lit
+                        watches[q].append(ci)
+                        break
+                else:
                     watch[j] = ci
                     j += 1
-                    continue
-                moved = False
-                for k in range(2, len(c)):
-                    if self._value(c[k]) != -1:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[c[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                watch[j] = ci
-                j += 1
-                if not self._enqueue(first, ci):
-                    # conflict: keep remaining watches in place
-                    while i < n:
-                        watch[j] = watch[i]
-                        j += 1
-                        i += 1
-                    del watch[j:]
-                    return ci
+                    if val == -1:
+                        # conflict: keep remaining watches in place
+                        del watch[j:i]
+                        self.qhead = qhead
+                        return ci
+                    assign[v] = 1 if first > 0 else -1
+                    level[v] = cur_level
+                    reason[v] = ci
+                    score[v] = -1.0
+                    trail.append(first)
             del watch[j:]
+        self.qhead = qhead
         return None
 
     # -- conflict analysis ----------------------------------------------------
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
+        activity = self.activity
+        activity[v] += self.var_inc
+        if self.assign[v] == 0:
+            self.score[v] = activity[v]
+        if activity[v] > 1e100:
+            assign, score = self.assign, self.score
             for i in range(1, self.nvars + 1):
-                self.activity[i] *= 1e-100
+                activity[i] *= 1e-100
+                if assign[i] == 0:
+                    score[i] = activity[i]
             self.var_inc *= 1e-100
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         learnt = [0]
-        seen = [False] * (self.nvars + 1)
+        seen, level, trail = self.seen, self.level, self.trail
         counter = 0
         lit = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         reason_clause = self.clauses[confl]
         while True:
@@ -205,16 +241,16 @@ class Solver:
                 if q == lit:
                     continue
                 v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     self._bump(v)
-                    if self.level[v] >= cur_level:
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            lit = self.trail[idx]
+            lit = trail[idx]
             idx -= 1
             v = abs(lit)
             seen[v] = False
@@ -223,12 +259,14 @@ class Solver:
                 break
             reason_clause = self.clauses[self.reason[v]]
         learnt[0] = -lit
+        for q in learnt[1:]:
+            seen[abs(q)] = False
         if len(learnt) == 1:
             return learnt, 0
-        bt = max(self.level[abs(q)] for q in learnt[1:])
+        bt = max(level[abs(q)] for q in learnt[1:])
         # move a literal of the backjump level into the second watch slot
         for k in range(1, len(learnt)):
-            if self.level[abs(learnt[k])] == bt:
+            if level[abs(learnt[k])] == bt:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, bt
@@ -236,10 +274,10 @@ class Solver:
     def _analyze_final(self, failed: int, assumption_set: set[int]) -> list[int]:
         """Assumptions responsible for `failed` (an assumption literal that
         is false under the current trail)."""
+        seen, level = self.seen, self.level
+        if not self.trail_lim or level[abs(failed)] == 0:
+            return [failed]
         core = {failed}
-        if not self.trail_lim:
-            return sorted(core)
-        seen = [False] * (self.nvars + 1)
         seen[abs(failed)] = True
         for lit in reversed(self.trail[self.trail_lim[0]:]):
             v = abs(lit)
@@ -250,7 +288,7 @@ class Solver:
                     core.add(lit)
             else:
                 for q in self.clauses[self.reason[v]]:
-                    if self.level[abs(q)] > 0:
+                    if level[abs(q)] > 0:
                         seen[abs(q)] = True
             seen[v] = False
         return sorted(core, key=abs)
@@ -258,14 +296,10 @@ class Solver:
     # -- search ---------------------------------------------------------------
 
     def _decide(self) -> int:
-        best, best_act = 0, -1.0
-        act = self.activity
-        assign = self.assign
-        for v in range(1, self.nvars + 1):
-            if assign[v] == 0 and act[v] > best_act:
-                best, best_act = v, act[v]
+        score = self.score
+        best = score.index(max(score))
         if best == 0:
-            return 0
+            return 0  # every variable is assigned
         return best if self.phase[best] else -best
 
     @staticmethod
@@ -340,9 +374,7 @@ class Solver:
                 continue
             lit = self._decide()
             if lit == 0:
-                model = [False] * (self.nvars + 1)
-                for v in range(1, self.nvars + 1):
-                    model[v] = self.assign[v] == 1
+                model = [a == 1 for a in self.assign]
                 self._backtrack(0)
                 if self.verify_models:
                     for c in self.clauses:

@@ -116,6 +116,97 @@ def test_models_under_assumptions_respect_them():
             assert s.solve(res.core).status == "unsat"
 
 
+def _reference_decision(s):
+    """The decision rule as a plain scan: the unassigned variable of
+    highest activity, the lowest index on ties; 0 if all are assigned."""
+    best, best_act = 0, -1.0
+    for v in range(1, s.nvars + 1):
+        if s.assign[v] == 0 and s.activity[v] > best_act:
+            best, best_act = v, s.activity[v]
+    return best
+
+
+def test_decide_most_active_unassigned_lowest_index_on_ties():
+    s = Solver()
+    for _ in range(6):
+        s.new_var()
+    for v in (4, 2, 4, 2):
+        s._bump(v)                       # 2 and 4 tie at the top
+    assert s._decide() == -2
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(-2, None)
+    assert s._decide() == -4
+    s.var_inc = 3e100                    # the next bump rescales by 1e-100
+    s._bump(6)
+    assert s.var_inc < 1e100 and s.activity[6] < 1e100
+    assert s._decide() == -6
+    s._bump(5)                           # ties with 6 after the rescale
+    assert s.activity[5] == s.activity[6]
+    assert s._decide() == -5
+    s._backtrack(0)
+    assert s._decide() == -5
+
+    rng = random.Random(3)
+    rescales = 0
+    for step in range(2000):
+        r = rng.random()
+        if r < 0.5:
+            if rng.random() < 0.03:
+                s.var_inc = rng.uniform(1.5e100, 4e100)
+                rescales += 1
+            s._bump(rng.randint(1, s.nvars))
+        elif r < 0.8:
+            lit = s._decide()
+            if lit:
+                s.trail_lim.append(len(s.trail))
+                s._enqueue(lit, None)
+        else:
+            s._backtrack(rng.randint(0, len(s.trail_lim)))
+        best = _reference_decision(s)
+        lit = s._decide()
+        assert abs(lit) == best, step
+        if best:
+            assert (lit > 0) == s.phase[best]
+    assert rescales >= 10
+
+
+def test_guarded_incremental_truth_table():
+    """Clauses added under a fresh guard, solved under it, then retired
+    with [-g]: retired clauses are satisfied at level 0 and propagation
+    stops watching them."""
+    rng = random.Random(17)
+    pruned = 0
+    for case in range(80):
+        nvars = rng.randint(3, 8)
+        s = Solver()
+        permanent = random_cnf(rng, nvars, rng.randint(0, 2 * nvars))
+        _fill(s, nvars, permanent)
+        for _ in range(rng.randint(2, 6)):
+            g = s.new_var()
+            extra = random_cnf(rng, nvars, rng.randint(1, 3 * nvars))
+            for c in extra:
+                s.add_clause([-g] + c)
+            res = s.solve([g])
+            assert (res.status == "sat") == tt_satisfiable(nvars, permanent + extra)
+            if res.status == "sat":
+                assert tt_check_model(permanent + extra, res.model)
+                assert res.value(g)
+            elif res.core != [g]:
+                assert res.core == [] and not tt_satisfiable(nvars, permanent)
+            s.add_clause([-g])
+            res = s.solve()
+            assert (res.status == "sat") == tt_satisfiable(nvars, permanent)
+            if res.status == "sat":
+                assert tt_check_model(permanent, res.model)
+                assert not res.value(g)
+            if rng.random() < 0.3:
+                unit = [rng.choice([1, -1]) * rng.randint(1, nvars)]
+                s.add_clause(unit)
+                permanent.append(unit)
+        pruned += 2 * len(s.clauses) - sum(len(w) for w in s.watches.values())
+    assert pruned > 0
+
+
 # -- DIMACS and the external process backend ---------------------------------
 
 def test_dimacs_round_trip():
