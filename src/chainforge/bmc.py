@@ -4,7 +4,11 @@ One `Unrolling` owns one solver instance and grows monotonically: raising
 the horizon only appends clauses, so all queries (single-pair
 reachability, batched k-reach edge enumeration, full path concretisation)
 share learned state.  Query-specific constraints are attached through
-fresh guard literals passed as assumptions, and retired afterwards.
+fresh guard and selector literals: guards are passed as assumptions, and
+every guard and selector is retired (fixed false at level 0) once its
+query is done, so the clauses it carried are satisfied for good and later
+solves never assign or propagate them.  The only gates a query adds are
+trigger encodings, which `pred_lit` caches for every later query.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ class Unrolling:
         self.invariant = invariant if invariant is not None else model.state_invariant
         self.state_frames: list[dict] = []
         self.input_frames: list[dict] = []
-        self._expr_cache: dict = {}
-        self._keep: list = []
+        # expr -> (literal per step, whether expr reads the next state)
+        self._encoded: dict[Expr, tuple[dict[int, int], bool]] = {}
         self.stats_solver_calls = 0
         self._add_frame()
 
@@ -103,33 +107,27 @@ class Unrolling:
     def pred_lit(self, expr: Expr, k: int, grow: bool = True) -> int:
         """Literal equivalent to `expr` evaluated at step k (next-state
         references resolve to step k+1)."""
+        enc = self._encoded.get(expr)
+        if enc is None:
+            reads_next = any(r.space == SPACE_NEXT for r in refs_of(expr))
+            enc = self._encoded[expr] = ({}, reads_next)
+        lits, reads_next = enc
         if grow:
-            need = k + 1 if self._has_next(expr) else k
-            self.ensure(need)
-        key = (id(expr), k)
-        lit = self._expr_cache.get(key)
+            self.ensure(k + 1 if reads_next else k)
+        lit = lits.get(k)
         if lit is None:
-            lit = encode_expr(expr, self.gates, self._lookup(k))
-            self._expr_cache[key] = lit
-            self._keep.append(expr)
+            lit = lits[k] = encode_expr(expr, self.gates, self._lookup(k))
         return lit
-
-    def _has_next(self, expr: Expr) -> bool:
-        key = ("next", id(expr))
-        v = self._expr_cache.get(key)
-        if v is None:
-            v = any(r.space == SPACE_NEXT for r in refs_of(expr))
-            self._expr_cache[key] = v
-            self._keep.append(expr)
-        return v
 
     # -- solving --------------------------------------------------------------
 
     def guard(self) -> int:
         return self.solver.new_var()
 
-    def pin(self, g: int, lit: int) -> None:
-        self.solver.add_clause([-g, lit])
+    def pin(self, g: int, *lits: int) -> None:
+        """Under guard g, at least one of `lits` holds (with one literal,
+        g implies it)."""
+        self.solver.add_clause([-g, *lits])
 
     def retire(self, g: int) -> None:
         self.solver.add_clause([-g])
@@ -204,39 +202,49 @@ def _witnesses_pair(unr: Unrolling, src: Pin, dst: Pin, k: int,
 
 def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> dict:
     """Which of `pairs` (key -> (src Pin, dst Pin)) are witnessed by some
-    exactly-k-step run?  Solved as one disjunctive query, iteratively
-    removing witnessed pairs from the disjunction until it is
-    unsatisfiable.  Returns key -> (trace, inputs)."""
+    exactly-k-step run?  Returns key -> (trace, inputs).
+
+    Each pair gets a fresh selector that implies its pins.  One witness
+    query asks, under a fresh guard, for any selector of the pairs still
+    open; every pair the witness satisfies is removed, until the query is
+    unsatisfiable.  Guards and selectors are retired on the way out, so
+    their clauses are satisfied at level 0 and later solves never
+    propagate them."""
     if not pairs:
         return {}
     depth = max(k, 1)
     unr.ensure(depth)
-    gates = unr.gates
     found: dict = {}
     remaining = dict(pairs)
-    while remaining:
-        disj = []
-        for key, (src, dst) in remaining.items():
+    sel: dict = {}
+    try:
+        for key, (src, dst) in pairs.items():
+            s = sel[key] = unr.guard()
             lits = _pin_lits(unr, src, 0, with_psi=True)
             lits += _pin_lits(unr, dst, k, with_psi=(k == 0))
-            disj.append(gates.land_many(lits))
-        g = unr.guard()
-        unr.pin(g, gates.lor_many(disj))
-        res = unr.solve([g])
-        unr.retire(g)
-        if res.status == sat.UNKNOWN:
-            raise sat.SolverLimit("k-reach query aborted")
-        if res.status == sat.UNSAT:
-            break
-        trace, _ = unr.decode_run(res.model, depth)
-        inputs_ext = [unr.decode_input(res.model, j) for j in range(depth + 1)]
-        hits = [key for key, (src, dst) in remaining.items()
-                if _witnesses_pair(unr, src, dst, k, trace, inputs_ext)]
-        if not hits:
-            raise BmcError("k-reach witness matched no pending pair")
-        for key in hits:
-            found[key] = (trace[:k + 1], inputs_ext[:k + 1])
-            del remaining[key]
+            for lit in lits:
+                unr.pin(s, lit)
+        while remaining:
+            g = unr.guard()
+            unr.pin(g, *(sel[key] for key in remaining))
+            res = unr.solve([g])
+            unr.retire(g)
+            if res.status == sat.UNKNOWN:
+                raise sat.SolverLimit("k-reach query aborted")
+            if res.status == sat.UNSAT:
+                break
+            trace, _ = unr.decode_run(res.model, depth)
+            inputs_ext = [unr.decode_input(res.model, j) for j in range(depth + 1)]
+            hits = [key for key, (src, dst) in remaining.items()
+                    if _witnesses_pair(unr, src, dst, k, trace, inputs_ext)]
+            if not hits:
+                raise BmcError("k-reach witness matched no pending pair")
+            for key in hits:
+                found[key] = (trace[:k + 1], inputs_ext[:k + 1])
+                del remaining[key]
+    finally:
+        for s in sel.values():
+            unr.retire(s)
     return found
 
 

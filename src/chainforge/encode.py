@@ -84,18 +84,6 @@ class Gates:
     def lor(self, a: int, b: int) -> int:
         return -self.land(-a, -b)
 
-    def land_many(self, lits) -> int:
-        out = self.T
-        for l in lits:
-            out = self.land(out, l)
-        return out
-
-    def lor_many(self, lits) -> int:
-        out = -self.T
-        for l in lits:
-            out = self.lor(out, l)
-        return out
-
     def lite(self, c: int, t: int, e: int) -> int:
         if self.is_true(c):
             return t

@@ -14,13 +14,13 @@ from . import sat
 from .bmc import Pin, PathCheck, Unrolling, check_path
 from .model import (BOOL, BinOp, Const, Expr, Model, Not, Property, SPACE_NEXT,
                     SPACE_STATE, SPACE_INPUT, SortError, TestChain,
-                    check_spaces, conj, disj, eval_expr, sort_of, step)
+                    check_spaces, conj, disj, eval_expr, reachable_states,
+                    sort_of, step)
 from .optimizer import (AtspSizeError, instance_from_closure, solve_atsp,
                         tour_to_vertex_path)
 from .reachgraph import (PROP, ClosedGraph, ReachGraph, WeightCache,
                          build_reach_graph, exists_covering_path, expand_path,
                          get_covering_path, transitive_closure)
-from . import oracle as oracle_mod
 
 MINIMAL = "minimal-certified"
 MINIMISED = "minimised"
@@ -41,7 +41,6 @@ class EngineConfig:
     seed: int = 0
     exhaust_k: bool = False            # resolve every pair up to k_max
     strengthen_invariant: bool = False
-    refine_weight_mode: str = "requery"  # or "copy" (take the skipping edge's weight)
     max_splits: int = 64
     max_rounds: int = 200
     sigma_retries: int = 3
@@ -107,7 +106,7 @@ def strengthened_invariant(model: Model, limit: int = 4096) -> Expr:
     computed by explicit exploration (small models only)."""
     if model.state_space_size() > limit:
         return model.state_invariant
-    reach = oracle_mod.reachable_states(model)
+    reach = reachable_states(model)
     return conj(model.state_invariant,
                 disj(*(state_equality_expr(model, s) for s in reach)))
 
@@ -213,16 +212,13 @@ def _alt_witness(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
 # Refinement
 # ---------------------------------------------------------------------------
 
-def refine(g: ReachGraph, pred: int, mid: int, succ: int,
-           mode: str = "requery") -> int:
+def refine(g: ReachGraph, pred: int, mid: int, succ: int) -> int:
     """Split `mid` so the in-from-pred / out-to-succ pairing that failed
     concretisation is ruled out: the clone takes the incoming edge from
     pred and every outgoing edge except the one to succ; the original
     keeps everything else.  Returns the clone's vertex id."""
     clone = g.add_clone(mid)
     w_in = g.weights.get((pred, mid))
-    if mode == "copy":
-        w_in = g.weights.get((pred, succ), w_in)
     if w_in is not None:
         g.weights[(pred, clone.idx)] = w_in
     g.weights.pop((pred, mid), None)
@@ -496,7 +492,7 @@ def _single_chain(unr: Unrolling, model: Model, props: list[Property],
             return None
         if splits >= cfg.max_splits:
             return None
-        refine(g, pred, mid, succ, mode=cfg.refine_weight_mode)
+        refine(g, pred, mid, succ)
         splits += 1
         stats.refinement_splits += 1
         closed = transitive_closure(g)

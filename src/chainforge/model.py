@@ -462,6 +462,27 @@ def step(m: Model, s: StateVec, i: InputVec, check: bool = True) -> dict[str, Va
     return nxt
 
 
+def reachable_states(m: Model) -> list[dict[str, Value]]:
+    """Every state reachable from the initial-state set under legal
+    inputs without leaving the state invariant, in `all_states()` order."""
+    names = [n for n, _ in m.state_vars]
+    states = [s for s in m.all_states() if eval_expr(m.state_invariant, s)]
+    index = {tuple(s[n] for n in names): i for i, s in enumerate(states)}
+    inputs = m.legal_inputs()
+    init = m.init_expr()
+    seen = {i for i, s in enumerate(states) if eval_expr(init, s)}
+    frontier = list(seen)
+    while frontier:
+        s = states[frontier.pop()]
+        for iv in inputs:
+            nxt = step(m, s, iv, check=False)
+            j = index.get(tuple(nxt[n] for n in names))
+            if j is not None and j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return [states[i] for i in sorted(seen)]
+
+
 def run_trace(m: Model, s0: StateVec, inputs) -> list[dict[str, Value]]:
     """Fold `step` over an input sequence, returning the full trace."""
     trace = [dict(s0)]

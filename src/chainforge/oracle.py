@@ -19,6 +19,7 @@ from typing import Optional
 from .model import (BinOp, Const, EvalError, Expr, IntRange, Ite, Model,
                     Property, Ref, SPACE_INPUT, SPACE_STATE, TRUE,
                     eval_expr, step)
+from .model import reachable_states as model_reachable_states
 
 
 class OracleLimit(Exception):
@@ -63,20 +64,10 @@ class Explicit:
 
 
 def reachable_states(model: Model, node_limit: int = 1_000_000) -> list[dict]:
-    ex = Explicit(model, node_limit)
-    seen = set()
-    frontier = deque()
-    for i in ex.init_states():
-        seen.add(i)
-        frontier.append(i)
-    while frontier:
-        si = frontier.popleft()
-        for ii in range(len(ex.inputs)):
-            t = ex.succ(si, ii)
-            if t is not None and t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return [ex.states[i] for i in sorted(seen)]
+    """`model.reachable_states` behind the explicit-state size limit."""
+    if model.state_space_size() > node_limit:
+        raise OracleLimit("state space exceeds the explicit-state limit")
+    return model_reachable_states(model)
 
 
 def reachability_diameter(model: Model, node_limit: int = 1_000_000) -> int:

@@ -6,7 +6,8 @@ from chainforge.bmc import Unrolling, check_path, get_kreach_edges, reach_check
 from chainforge.dsl import parse_properties
 from chainforge.model import eval_expr, run_trace
 from chainforge.oracle import pair_min_weights, random_model
-from chainforge.reachgraph import build_reach_graph, make_vertices
+from chainforge.reachgraph import (ReachGraph, build_reach_graph, make_vertices,
+                                   target_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,60 @@ def test_kreach_weights_match_bfs_oracle_on_random_models():
                                 k_max=12, exhaust=True)
         got = {(a, b): w for (a, b, w) in out.graph.named_edges()}
         assert got == want, (gen.model.name, got, want)
+
+
+def test_kreach_default_build_matches_bfs_oracle_on_multi_state_models():
+    # disjunctive triggers: one witness run may satisfy several pairs
+    rng = random.Random(2024)
+    for case in range(12):
+        gen = random_model(rng.randrange(1 << 30), n_states=rng.randint(5, 9),
+                           n_inputs=2, n_props=rng.randint(2, 4), multi_state=True)
+        want = pair_min_weights(gen.model, gen.props, gen.init_expr,
+                                gen.final_expr, k_cap=12)
+        out = build_reach_graph(Unrolling(gen.model), gen.props, gen.init_expr,
+                                gen.final_expr, k_max=12)
+        g = out.graph
+        got = {(a, b): w for (a, b, w) in g.named_edges()}
+        assert all(want.get(key) == w for key, w in got.items()), (gen.model.name, got, want)
+        for a, b in target_pairs(g):
+            key = (g.vertices[a].name, g.vertices[b].name)
+            if key not in got:
+                assert want.get(key, g.k_stop + 1) > g.k_stop, (gen.model.name, key)
+
+
+def _live_vars(unr):
+    s = unr.solver
+    return sum(1 for v in range(1, s.nvars + 1) if s.assign[v] == 0)
+
+
+def _kreach_query(model, props, init, final):
+    g = ReachGraph(make_vertices(props, init, final), final_idx=len(props) + 1)
+    return {(a, b): (g.vertices[a].pin(), g.vertices[b].pin())
+            for a, b in target_pairs(g)}
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("which", ["cruise", "random"])
+def test_kreach_query_leaves_nothing_live(which, k, cruise_model, cruise_props,
+                                          cruise_final):
+    if which == "cruise":
+        model, props, init, final = cruise_model, cruise_props, cruise_final, cruise_final
+    else:
+        gen = random_model(31, n_states=9, n_inputs=2, n_props=4, multi_state=True)
+        model, props, init, final = gen.model, gen.props, gen.init_expr, gen.final_expr
+    pairs = _kreach_query(model, props, init, final)
+    ref = Unrolling(model)
+    ref.ensure(max(k, 1))
+    for src, dst in pairs.values():
+        for e in (src.phi, src.psi):
+            if e is not None:
+                ref.pred_lit(e, 0)
+        ref.pred_lit(dst.phi, k)
+        if k == 0 and dst.psi is not None:
+            ref.pred_lit(dst.psi, k)
+    unr = Unrolling(model)
+    get_kreach_edges(unr, pairs, k)
+    assert _live_vars(unr) <= _live_vars(ref)
 
 
 def test_unrolling_grows_incrementally(cruise_model):
