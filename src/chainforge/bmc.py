@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from . import sat
 from .encode import Gates, alloc_var, assert_assignment, decode_var, encode_expr
-from .model import Expr, Model, SPACE_NEXT, SPACE_STATE, SPACE_INPUT, TRUE, refs_of
+from .model import (Expr, Model, SPACE_NEXT, SPACE_STATE, SPACE_INPUT, TRUE,
+                    eval_expr, refs_of)
 
 
 class BmcError(Exception):
@@ -183,10 +184,8 @@ def _pin_lits(unr: Unrolling, pin: Pin, k: int, with_psi: bool) -> list[int]:
     return lits
 
 
-def _witnesses_pair(unr: Unrolling, src: Pin, dst: Pin, k: int,
-                    trace, inputs_ext) -> bool:
+def _witnesses_pair(src: Pin, dst: Pin, k: int, trace, inputs_ext) -> bool:
     """Concrete check mirroring the k-reach query for one pair."""
-    from .model import eval_expr
     s0, i0 = trace[0], inputs_ext[0]
     if not eval_expr(src.phi, s0, i0):
         return False
@@ -236,7 +235,7 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> dict:
             trace, _ = unr.decode_run(res.model, depth)
             inputs_ext = [unr.decode_input(res.model, j) for j in range(depth + 1)]
             hits = [key for key, (src, dst) in remaining.items()
-                    if _witnesses_pair(unr, src, dst, k, trace, inputs_ext)]
+                    if _witnesses_pair(src, dst, k, trace, inputs_ext)]
             if not hits:
                 raise BmcError("k-reach witness matched no pending pair")
             for key in hits:

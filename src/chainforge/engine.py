@@ -16,16 +16,21 @@ from .model import (BOOL, BinOp, Const, Expr, Model, Not, Property, SPACE_NEXT,
                     SPACE_STATE, SPACE_INPUT, SortError, TestChain,
                     check_spaces, conj, disj, eval_expr, reachable_states,
                     sort_of, step)
-from .optimizer import (AtspSizeError, instance_from_closure, solve_atsp,
-                        tour_to_vertex_path)
-from .reachgraph import (PROP, ClosedGraph, ReachGraph, WeightCache,
-                         build_reach_graph, exists_covering_path, expand_path,
-                         get_covering_path, transitive_closure)
+from .optimizer import instance_from_closure, solve_atsp, tour_to_vertex_path
+from .reachgraph import (PROP, ReachGraph, WeightCache, build_reach_graph,
+                         expand_path, get_covering_path, transitive_closure)
 
 MINIMAL = "minimal-certified"
 MINIMISED = "minimised"
 MULTI = "multi-chain"
 FAILED = "failed"
+
+#: Fixed limits of the concretisation loop: other arrival states repair
+#: asks a dead-end edge's predecessor for, vertex splits per chain, and
+#: check/repair rounds per chain.
+SIGMA_RETRIES = 3
+MAX_SPLITS = 64
+MAX_ROUNDS = 200
 
 
 class TimeoutAbort(Exception):
@@ -36,15 +41,10 @@ class TimeoutAbort(Exception):
 class EngineConfig:
     k_max: int = 50
     atsp: str = "auto"                 # exact | heuristic | auto
-    exact_limit: int = 16
     allow_partition: bool = True
     seed: int = 0
     exhaust_k: bool = False            # resolve every pair up to k_max
     strengthen_invariant: bool = False
-    max_splits: int = 64
-    max_rounds: int = 200
-    sigma_retries: int = 3
-    conflict_budget: Optional[int] = None
     deadline: Optional[float] = None
     solver_factory: Optional[Callable] = None
 
@@ -63,7 +63,6 @@ class Stats:
     initial_abstract_path: Optional[list[str]] = None
     initial_abstract_weights: Optional[list[int]] = None
     first_failed_path: Optional[list[str]] = None
-    first_failed_weights: Optional[list[int]] = None
     path_vertex_distinct: bool = False
 
 
@@ -134,13 +133,17 @@ def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
     trigger state each successful check arrives at; on a dead end, retry
     the previous edge with a different witness before giving up."""
 
-    def edge_check(j: int, sigma, w: int) -> Optional[dict]:
+    def edge_check(j: int, sigma, w: int, blocked=()) -> Optional[dict]:
+        """Edge j in exactly w steps from sigma (any trigger state when
+        None), arriving at none of the `blocked` states."""
         src_v = g.vertices[vs[j]]
         dst_v = g.vertices[vs[j + 1]]
         phi = src_v.phi
         if sigma is not None:
             phi = conj(state_equality_expr(model, sigma), phi)
-        chk = check_path(unr, [Pin(phi, src_v.psi), dst_v.pin()], [w],
+        block = conj(*(Not(state_equality_expr(model, b)) for b in blocked))
+        chk = check_path(unr, [Pin(phi, src_v.psi),
+                               Pin(conj(dst_v.phi, block), dst_v.psi)], [w],
                          shrink_core=False)
         if not chk.feasible:
             return None
@@ -174,12 +177,11 @@ def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
             j += 1
             continue
         # dead end: ask the previous edge for a different arrival state
-        if j > lo and retries.get(j, 0) < cfg.sigma_retries:
+        if j > lo and retries.get(j, 0) < SIGMA_RETRIES:
             retries[j] = retries.get(j, 0) + 1
             ws[j] = base[j]
             prev = j - 1
-            tau2 = _alt_witness(unr, model, g, vs, ws, prev, sigma_of[prev],
-                                seen[prev])
+            tau2 = edge_check(prev, sigma_of[prev], ws[prev], seen[prev])
             if tau2 is not None:
                 seen[prev].append(tau2)
                 sigma = tau2
@@ -189,23 +191,6 @@ def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
         return RepairOutcome(False, increments, (pred, vs[j], vs[j + 1]))
     stats.repair_increments += increments
     return RepairOutcome(True, increments)
-
-
-def _alt_witness(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
-                 ws: list[int], j: int, sigma, blocked: list[dict]) -> Optional[dict]:
-    """Re-solve edge j at its current weight, excluding arrival states
-    already tried."""
-    src_v = g.vertices[vs[j]]
-    dst_v = g.vertices[vs[j + 1]]
-    phi = src_v.phi
-    if sigma is not None:
-        phi = conj(state_equality_expr(model, sigma), phi)
-    block = conj(*(Not(state_equality_expr(model, b)) for b in blocked))
-    chk = check_path(unr, [Pin(phi, src_v.psi), Pin(conj(dst_v.phi, block), dst_v.psi)],
-                     [ws[j]], shrink_core=False)
-    if not chk.feasible:
-        return None
-    return chk.trace[ws[j]]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +333,7 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     if cfg.solver_factory is not None:
         solver = cfg.solver_factory()
     else:
-        solver = sat.make_solver(deadline=cfg.deadline,
-                                 conflict_budget=cfg.conflict_budget)
+        solver = sat.make_solver(deadline=cfg.deadline)
     unr = Unrolling(model, solver, invariant)
     cache = WeightCache()
     try:
@@ -380,9 +364,7 @@ def _generate(unr: Unrolling, model: Model, props: list[Property],
         return ChainResult([], FAILED,
                            f"no chain found for given bound {cfg.k_max}{detail}",
                            graph=res.graph or out.graph)
-    if out.status == "no-single-chain":
-        return _try_partition(unr, model, props, init_expr, final_expr, cfg,
-                              cache, stats, depth, out.graph)
+
     def rebuild_complete() -> ReachGraph:
         # refinement needs the full pairwise picture, not just the edges
         # found before the first covering path appeared
@@ -449,16 +431,15 @@ def _single_chain(unr: Unrolling, model: Model, props: list[Property],
                   rebuild=None):
     """Optimise + concretise + repair/refine loop.  Returns a ChainResult
     on success, or None when no covering path survives refinement."""
-    closed = transitive_closure(g)
-    path_closure = _optimised_path(closed, g, cfg, stats, collapse_to=None)
-    if path_closure is None:
+    planned = _plan(g, cfg, stats)
+    if planned is None:
         return None
-    vs, ws = expand_path(closed, path_closure)
+    vs, ws = planned
     if stats.initial_abstract_path is None:
         stats.initial_abstract_path = [g.vertices[v].name for v in vs]
         stats.initial_abstract_weights = list(ws)
     splits = 0
-    for _round in range(cfg.max_rounds):
+    for _round in range(MAX_ROUNDS):
         _check_deadline(cfg)
         pins = [g.vertices[v].pin() for v in vs]
         chk = check_path(unr, pins, ws)
@@ -467,71 +448,51 @@ def _single_chain(unr: Unrolling, model: Model, props: list[Property],
         if stats.first_failed_path is None:
             stats.first_failed_path = [g.vertices[v].name
                                        for v in vs[chk.failed_lo:chk.failed_hi + 1]]
-            stats.first_failed_weights = list(ws[chk.failed_lo:chk.failed_hi])
         rep = _repair(unr, model, g, vs, ws, chk.failed_lo, chk.failed_hi, cfg, stats)
         if rep.success and rep.increments > 0:
             continue
         if rebuild is not None:
             g = rebuild()
             rebuild = None
-            closed = transitive_closure(g)
-            path_closure = _optimised_path(closed, g, cfg, stats, collapse_to=None)
-            if path_closure is None:
+        else:
+            triple = rep.triple
+            if rep.success and rep.increments == 0:
+                # vacuous repair: force refinement on the failed range's middle
+                if chk.failed_hi - chk.failed_lo < 2:
+                    return None
+                triple = (vs[chk.failed_lo], vs[chk.failed_lo + 1],
+                          vs[chk.failed_lo + 2])
+            pred, mid, succ = triple
+            if pred is None or g.vertices[mid].kind != PROP:
                 return None
-            vs, ws = expand_path(closed, path_closure)
-            continue
-        triple = rep.triple
-        if rep.success and rep.increments == 0:
-            # vacuous repair: force refinement on the failed range's middle
-            if chk.failed_hi - chk.failed_lo < 2:
+            if splits >= MAX_SPLITS:
                 return None
-            triple = (vs[chk.failed_lo], vs[chk.failed_lo + 1],
-                      vs[chk.failed_lo + 2])
-        pred, mid, succ = triple
-        if pred is None or g.vertices[mid].kind != PROP:
+            refine(g, pred, mid, succ)
+            splits += 1
+            stats.refinement_splits += 1
+        planned = _plan(g, cfg, stats)
+        if planned is None:
             return None
-        if splits >= cfg.max_splits:
-            return None
-        refine(g, pred, mid, succ)
-        splits += 1
-        stats.refinement_splits += 1
-        closed = transitive_closure(g)
-        cover = get_covering_path(closed)
-        if cover is None:
-            return None
-        path_closure = _optimised_path(closed, g, cfg, stats, collapse_to=cover)
-        if path_closure is None:
-            path_closure = cover
-        vs, ws = expand_path(closed, path_closure)
+        vs, ws = planned
     return None
 
 
-def _optimised_path(closed: ClosedGraph, g: ReachGraph, cfg: EngineConfig,
-                    stats: Stats, collapse_to: Optional[list[int]]):
-    """Shortest covering path on the closure via the circuit solver; when
-    a covering path is supplied (refined graphs), collapse each group to
-    the member that path uses first."""
-    if collapse_to is None:
-        if not exists_covering_path(g):
-            return None
-        keep = None
-        lossy = False
-    else:
-        keep = sorted(set(collapse_to))
-        lossy = len(keep) < g.n
-    inst = instance_from_closure(closed, keep=keep, lossy=lossy)
-    try:
-        tour, backend = solve_atsp(inst, backend=cfg.atsp, seed=cfg.seed,
-                                   exact_limit=cfg.exact_limit)
-    except AtspSizeError:
-        tour, backend = None, "exact"
-    stats.backend = backend
-    if tour is None:
-        if collapse_to is not None:
-            return collapse_to
-        cover = get_covering_path(closed)
-        return cover
-    return tour_to_vertex_path(inst, tour)
+def _plan(g: ReachGraph, cfg: EngineConfig, stats: Stats):
+    """Shortest covering path, expanded to original edges: solve the
+    circuit problem on the closure restricted to the vertices of a
+    constructive covering path (every vertex on an unrefined graph; on a
+    refined one, the member of each group that path uses first), keeping
+    the covering path itself when the solver finds no tour.  Returns
+    (vertices, weights), or None when no covering path exists."""
+    closed = transitive_closure(g)
+    cover = get_covering_path(closed)
+    if cover is None:
+        return None
+    keep = sorted(set(cover))
+    inst = instance_from_closure(closed, keep=keep, lossy=len(keep) < g.n)
+    tour, stats.backend = solve_atsp(inst, backend=cfg.atsp, seed=cfg.seed)
+    path = cover if tour is None else tour_to_vertex_path(inst, tour)
+    return expand_path(closed, path)
 
 
 def _finish(unr: Unrolling, model: Model, props, g: ReachGraph, vs, ws,

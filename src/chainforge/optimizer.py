@@ -239,13 +239,13 @@ def _or_opt(inst: AtspInstance, order: list[int]) -> list[int]:
     return order
 
 
-def solve_atsp(inst: AtspInstance, backend: str = "auto", seed: int = 0,
-               exact_limit: int = EXACT_LIMIT_DEFAULT) -> tuple[Optional[Tour], str]:
-    """Dispatch: exact when it fits (or demanded), heuristic otherwise.
-    Returns (tour, backend actually used)."""
-    if backend == "exact" or (backend == "auto" and inst.n <= exact_limit):
-        return solve_atsp_exact(inst, limit=max(exact_limit, inst.n)
-                                if backend == "exact" else exact_limit), "exact"
+def solve_atsp(inst: AtspInstance, backend: str = "auto",
+               seed: int = 0) -> tuple[Optional[Tour], str]:
+    """Dispatch: exact when it fits within EXACT_LIMIT_DEFAULT vertices
+    (or when demanded, at any size), heuristic otherwise.  Returns (tour,
+    backend actually used)."""
+    if backend == "exact" or (backend == "auto" and inst.n <= EXACT_LIMIT_DEFAULT):
+        return solve_atsp_exact(inst, limit=max(EXACT_LIMIT_DEFAULT, inst.n)), "exact"
     return solve_atsp_heuristic(inst, seed=seed), "heuristic"
 
 

@@ -5,8 +5,8 @@ path exists.
 
 Also home to the transitive closure (min-plus, with parent pointers so
 closure edges expand back to original edges), the covering-path existence
-conditions, and the constructive covering-path finder used after
-refinement.
+conditions, and the constructive covering-path finder the engine plans
+from.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class WeightCache:
 @dataclass
 class BuildOutcome:
     graph: ReachGraph
-    status: str  # "path" | "no-single-chain" | "bound-exceeded"
+    status: str  # "path" | "bound-exceeded"
 
 
 def target_pairs(g: ReachGraph) -> list[tuple[int, int]]:
@@ -135,27 +135,15 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
                       cache: Optional[WeightCache] = None) -> BuildOutcome:
     """Grow the abstraction one depth at a time until a covering path
     exists (or, with exhaust=True, until every pair is resolved), giving
-    each pair the minimal depth at which it is witnessed."""
+    each pair the minimal depth at which it is witnessed.  The status is
+    "path" when a covering path exists at the end, else "bound-exceeded";
+    once every pair is resolved a covering path always exists."""
     vertices = make_vertices(props, init_expr, final_expr)
     g = ReachGraph(vertices, final_idx=len(vertices) - 1)
     cache = cache if cache is not None else WeightCache()
     remaining = set(target_pairs(g))
     k = 0
-    while True:
-        done = not remaining
-        if not exhaust and exists_covering_path(g):
-            g.k_stop = max(k - 1, 0)
-            return BuildOutcome(g, "path")
-        if done:
-            g.k_stop = max(k - 1, 0)
-            if exists_covering_path(g):
-                return BuildOutcome(g, "path")
-            return BuildOutcome(g, "no-single-chain")
-        if k > k_max:
-            g.k_stop = k_max
-            if exhaust and exists_covering_path(g):
-                return BuildOutcome(g, "path")
-            return BuildOutcome(g, "bound-exceeded")
+    while remaining and k <= k_max and (exhaust or not exists_covering_path(g)):
         query: dict[tuple[int, int], tuple[Pin, Pin]] = {}
         for (a, b) in sorted(remaining):
             va, vb = g.vertices[a], g.vertices[b]
@@ -183,6 +171,8 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
                 else:
                     cache.checked_to[key] = k
         k += 1
+    g.k_stop = min(max(k - 1, 0), k_max)
+    return BuildOutcome(g, "path" if exists_covering_path(g) else "bound-exceeded")
 
 
 # ---------------------------------------------------------------------------

@@ -448,10 +448,10 @@ class ExternalSolver:
     """Backend that round-trips DIMACS files through an external solver
     process (minisat-style interface: `solver in.cnf out`).  Assumptions
     become unit clauses; cores are recovered by deletion over the
-    assumption literals, so any stock solver can be substituted."""
+    assumption literals, so any stock solver can be substituted.  Only the
+    deadline bounds it; it has no conflict budget."""
 
-    def __init__(self, command: str, deadline: Optional[float] = None,
-                 conflict_budget: Optional[int] = None):
+    def __init__(self, command: str, deadline: Optional[float] = None):
         self.command = command
         self.nvars = 0
         self.clauses: list[list[int]] = []
@@ -534,11 +534,10 @@ class ExternalSolver:
         return self.solve(assumptions)
 
 
-def make_solver(deadline: Optional[float] = None,
-                conflict_budget: Optional[int] = None):
+def make_solver(deadline: Optional[float] = None):
     """Build the configured backend: the embedded CDCL solver by default,
     or an external DIMACS solver when CHAINFORGE_SOLVER=external:<cmd>."""
     spec = os.environ.get("CHAINFORGE_SOLVER", "")
     if spec.startswith("external:"):
         return ExternalSolver(spec.split(":", 1)[1], deadline=deadline)
-    return Solver(conflict_budget=conflict_budget, deadline=deadline)
+    return Solver(deadline=deadline)

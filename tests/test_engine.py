@@ -70,6 +70,27 @@ def test_already_feasible_path_needs_no_repair(cruise_model, cruise_props,
     assert res.stats.first_failed_path is None
 
 
+def test_repair_retries_another_arrival_state():
+    """p1's trigger {1, 2, 10} is one step from init at 1 and 2.  When the
+    edge check lands on 1, a self-loop that never reaches p2's trigger 5,
+    repair asks that edge for another arrival state and finishes through
+    2 (5 steps, the optimum) without rebuilding the complete graph."""
+    table = [[1, 2, 6], [1, 1, 1], [3, 3, 3], [4, 4, 4], [5, 5, 5], [0, 0, 0],
+             [7, 7, 7], [8, 8, 8], [9, 9, 9], [10, 10, 10], [5, 5, 5]]
+    m = table_model("retry", table)
+    p1 = Property("p1", disj(state_eq(m, 1), state_eq(m, 2), state_eq(m, 10)), TRUE)
+    p2 = Property("p2", state_eq(m, 5), TRUE)
+    i_expr = state_eq(m, 0)
+    res = generate_chain(m, [p1, p2], i_expr, i_expr, EngineConfig(k_max=12))
+    assert res.chains, res.reason
+    _check_chain(m, [p1, p2], i_expr, res.chains[0])
+    assert res.total_length == 5 == oracle_min_chain(m, [p1, p2], i_expr, i_expr)
+    assert res.stats.repair_increments == 2
+    assert res.stats.refinement_splits == 0
+    # a failed retry would rebuild the complete graph, which reaches k = 4
+    assert res.stats.k_reached == 1
+
+
 # -- refinement: repair cannot fix a trigger member that is a dead end -------
 
 def _refinement_scenario():

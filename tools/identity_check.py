@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Identity check: run the benchmark workloads through `generate_chain`
+and record everything a change that must not alter the search leaves
+unchanged.
+
+    python3 tools/identity_check.py > after.json
+    python3 tools/identity_check.py --root OTHER_CHECKOUT > before.json
+    python3 tools/identity_check.py --compare before.json after.json
+
+The instances are the 40 of each perfbench workload (ladder, multi,
+clusters) for workload seeds 1 and 2: 240 in all, generated by the
+checkout's own `perfbench/workloads.py`, which is imported and not
+changed.  Per instance the JSON holds the result status, every chain's
+inputs, the engine `Stats` without `wall_time_s`, and for the first
+solver its variable count, clause count, conflicts, solves and a SHA-1
+of its clause list (learnt clauses included).
+
+`--compare` lists the instances whose records differ and exits 1 if any
+do.  `Stats` fields that only one of the two files has are skipped, so a
+change may add or drop a field.  This is a tool, not part of the test
+suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+WORKLOADS = ("ladder", "multi", "clusters")
+WORKLOAD_SEEDS = (1, 2)
+
+
+def run_instance(dsl, engine, sat, inst) -> dict:
+    model, _ = dsl.parse_model(inst.model, inst.name)
+    props, _ = dsl.parse_properties(inst.props, model, inst.name)
+    init, _ = dsl.parse_state_set(inst.init, model)
+    final, _ = dsl.parse_state_set(inst.final, model)
+    solvers = []
+
+    def factory():
+        solvers.append(sat.Solver())
+        return solvers[-1]
+
+    cfg = engine.EngineConfig(k_max=inst.k_max, solver_factory=factory)
+    try:
+        res = engine.generate_chain(model, props, init, final, cfg)
+    except Exception as ex:  # a crash is a difference like any other
+        return {"error": repr(ex)}
+    stats = dataclasses.asdict(res.stats)
+    del stats["wall_time_s"]
+    s = solvers[0]
+    return {
+        "status": res.status,
+        "chains": [list(c.inputs) for c in res.chains],
+        "stats": stats,
+        "solver": {
+            "nvars": s.nvars,
+            "clauses": len(s.clauses),
+            "conflicts": s.stats_conflicts,
+            "solves": s.stats_solves,
+            "clauses_sha1": hashlib.sha1(repr(s.clauses).encode()).hexdigest(),
+        },
+    }
+
+
+def run(root: Path) -> dict:
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from chainforge import dsl, engine, sat
+    import workloads
+    out = {}
+    for name in WORKLOADS:
+        for seed in WORKLOAD_SEEDS:
+            for inst in workloads.generate(name, seed):
+                out[inst.name] = run_instance(dsl, engine, sat, inst)
+    return out
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """Keys of one instance record that differ, as dotted names."""
+    out = []
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key), b.get(key)
+        if key == "stats" and isinstance(va, dict) and isinstance(vb, dict):
+            out += [f"stats.{f}" for f in sorted(set(va) & set(vb)) if va[f] != vb[f]]
+        elif va != vb:
+            out.append(key)
+    return out
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    a, b = json.loads(path_a.read_text()), json.loads(path_b.read_text())
+    bad = 0
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            print(f"{name}: only in {path_a if name in a else path_b}")
+            bad += 1
+            continue
+        diff = differences(a[name], b[name])
+        if diff:
+            print(f"{name}: {', '.join(diff)}")
+            bad += 1
+    print(f"{bad} of {len(set(a) | set(b))} instances differ")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="source checkout to run (default: this one)")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                    help="compare two saved runs instead of running")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    json.dump(run(args.root.resolve()), sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
