@@ -157,26 +157,6 @@ class Unrolling:
 # Queries
 # ---------------------------------------------------------------------------
 
-def reach_check(unr: Unrolling, src: Expr, dst: Expr, k: int):
-    """Is some dst-state reachable from some src-state in exactly k steps?
-    Returns (sat, trace, inputs); triggers may constrain the input at
-    their own step."""
-    if k < 0:
-        raise ValueError("step count must be >= 0")
-    unr.ensure(k)
-    g = unr.guard()
-    unr.pin(g, unr.pred_lit(src, 0))
-    unr.pin(g, unr.pred_lit(dst, k))
-    res = unr.solve([g])
-    unr.retire(g)
-    if res.status == sat.UNKNOWN:
-        raise sat.SolverLimit("reachability query aborted")
-    if res.status == sat.UNSAT:
-        return False, None, None
-    trace, inputs = unr.decode_run(res.model, k)
-    return True, trace, inputs
-
-
 def _pin_lits(unr: Unrolling, pin: Pin, k: int, with_psi: bool) -> list[int]:
     lits = [unr.pred_lit(pin.phi, k)]
     if with_psi and pin.psi is not None:

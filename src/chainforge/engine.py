@@ -488,8 +488,7 @@ def _plan(g: ReachGraph, cfg: EngineConfig, stats: Stats):
     cover = get_covering_path(closed)
     if cover is None:
         return None
-    keep = sorted(set(cover))
-    inst = instance_from_closure(closed, keep=keep, lossy=len(keep) < g.n)
+    inst = instance_from_closure(closed, keep=cover)
     tour, stats.backend = solve_atsp(inst, backend=cfg.atsp, seed=cfg.seed)
     path = cover if tour is None else tour_to_vertex_path(inst, tour)
     return expand_path(closed, path)

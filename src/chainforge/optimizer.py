@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .reachgraph import ClosedGraph
+from .reachgraph import ClosedGraph, insertion_path
 
 INF = math.inf
 
@@ -34,7 +34,6 @@ class AtspInstance:
     cost: list[list[float]]
     start: int                          # position of the init vertex
     end: int                            # position of the final vertex
-    lossy: bool = False                 # True when group collapsing was applied
 
     @property
     def n(self) -> int:
@@ -57,8 +56,8 @@ class AtspSizeError(Exception):
     """Instance too large for the exact backend."""
 
 
-def instance_from_closure(closed: ClosedGraph, keep: Optional[list[int]] = None,
-                          lossy: bool = False) -> AtspInstance:
+def instance_from_closure(closed: ClosedGraph,
+                          keep: Optional[list[int]] = None) -> AtspInstance:
     """Restrict the closed graph to `keep` (default: all vertices).  With
     refinement groups collapsed, `keep` is the covering path's choice of
     one member per group; paths through dropped members survive in the
@@ -72,7 +71,7 @@ def instance_from_closure(closed: ClosedGraph, keep: Optional[list[int]] = None,
         for j, b in enumerate(ids):
             if i != j and closed.has(a, b):
                 cost[i][j] = closed.dist[(a, b)]
-    return AtspInstance(ids, cost, pos[g.init_idx], pos[g.final_idx], lossy=lossy)
+    return AtspInstance(ids, cost, pos[g.init_idx], pos[g.final_idx])
 
 
 def solve_atsp_exact(inst: AtspInstance, limit: int = EXACT_LIMIT_DEFAULT) -> Optional[Tour]:
@@ -133,37 +132,15 @@ def _tour_cost(inst: AtspInstance, order: list[int]) -> float:
     return sum(inst.cost[a][b] for a, b in zip(order, order[1:]))
 
 
-def _insertion_order(inst: AtspInstance) -> Optional[list[int]]:
-    """Feasibility-first construction: insert each vertex at the latest
-    position whose neighbouring edges both exist.  On a transitively
-    closed graph meeting the covering-path conditions this always
-    succeeds."""
-    s, e = inst.start, inst.end
-    order = [s, e]
-    for v in range(inst.n):
-        if v in (s, e):
-            continue
-        placed = False
-        for pos in range(len(order) - 2, -1, -1):
-            a, b = order[pos], order[pos + 1]
-            if inst.cost[a][v] < INF and inst.cost[v][b] < INF:
-                order.insert(pos + 1, v)
-                placed = True
-                break
-        if not placed:
-            return None
-    if any(inst.cost[a][b] == INF for a, b in zip(order, order[1:])):
-        return None
-    return order
-
-
 def solve_atsp_heuristic(inst: AtspInstance, seed: int = 0,
                          restarts: int = 8) -> Optional[Tour]:
     """Nearest-neighbour construction (randomised across restarts) plus
     Or-opt local search (segment relocation of 1..3 vertices, orientation
     preserved — suitable for asymmetric costs), seeded with a
-    feasibility-first insertion tour.  Deterministic for a given seed;
-    never uses an absent edge."""
+    feasibility-first tour from `reachgraph.insertion_path`, the same
+    insertion that builds the engine's covering path, here over every
+    vertex in position order.  Deterministic for a given seed; never uses
+    an absent edge."""
     n = inst.n
     s, e = inst.start, inst.end
     mids = [v for v in range(n) if v not in (s, e)]
@@ -181,7 +158,8 @@ def solve_atsp_heuristic(inst: AtspInstance, seed: int = 0,
         if c < best_cost:
             best_order, best_cost = order, c
 
-    base = _insertion_order(inst)
+    base = insertion_path(s, e, [[v] for v in mids],
+                          lambda a, b: inst.cost[a][b] < INF)
     if base is not None:
         consider(base)
     for attempt in range(restarts):
@@ -205,7 +183,7 @@ def solve_atsp_heuristic(inst: AtspInstance, seed: int = 0,
             continue
         order.append(e)
         consider(order)
-    if best_order is None or best_cost == INF:
+    if best_cost == INF:
         return None
     return Tour(best_order, best_cost + RETURN_EDGE_COST)
 
@@ -219,8 +197,6 @@ def _or_opt(inst: AtspInstance, order: list[int]) -> list[int]:
         rounds += 1
         for seg_len in (1, 2, 3):
             for i in range(1, len(order) - seg_len):
-                if i + seg_len >= len(order):
-                    continue
                 seg = order[i:i + seg_len]
                 pre, post = order[i - 1], order[i + seg_len]
                 removed = (cost[pre][seg[0]] + cost[seg[-1]][post]) - cost[pre][post]

@@ -19,7 +19,6 @@ from typing import Optional
 from .model import (BinOp, Const, EvalError, Expr, IntRange, Ite, Model,
                     Property, Ref, SPACE_INPUT, SPACE_STATE, TRUE,
                     eval_expr, step)
-from .model import reachable_states as model_reachable_states
 
 
 class OracleLimit(Exception):
@@ -61,13 +60,6 @@ class Explicit:
     def init_states(self) -> list[int]:
         init = self.model.init_expr()
         return self.states_where(init)
-
-
-def reachable_states(model: Model, node_limit: int = 1_000_000) -> list[dict]:
-    """`model.reachable_states` behind the explicit-state size limit."""
-    if model.state_space_size() > node_limit:
-        raise OracleLimit("state space exceeds the explicit-state limit")
-    return model_reachable_states(model)
 
 
 def reachability_diameter(model: Model, node_limit: int = 1_000_000) -> int:
@@ -331,13 +323,6 @@ class BaselineResult:
     coverage: float = 0.0
     total_length: int = 0
     steps_used: int = 0
-
-    @property
-    def concatenated(self) -> list[dict]:
-        out: list[dict] = []
-        for i in self.selected:
-            out.extend(self.cases[i].inputs)
-        return out
 
 
 def random_baseline(model: Model, props, init_expr: Expr, final_expr: Expr,

@@ -4,9 +4,10 @@ built by querying the unrolled model at increasing depth until a covering
 path exists.
 
 Also home to the transitive closure (min-plus, with parent pointers so
-closure edges expand back to original edges), the covering-path existence
-conditions, and the constructive covering-path finder the engine plans
-from.
+closure edges expand back to original edges) and the one insertion
+routine that builds a covering path over it.  Existence is decided by
+that constructive insertion, and the engine plans from the path it
+finds.
 """
 
 from __future__ import annotations
@@ -175,51 +176,6 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     return BuildOutcome(g, "path" if exists_covering_path(g) else "bound-exceeded")
 
 
-# ---------------------------------------------------------------------------
-# Covering-path existence and construction
-# ---------------------------------------------------------------------------
-
-def _reach_matrix(g: ReachGraph) -> list[list[bool]]:
-    n = g.n
-    r = [[False] * n for _ in range(n)]
-    for i in range(n):
-        r[i][i] = True
-    for (a, b) in g.weights:
-        r[a][b] = True
-    for m in range(n):
-        rm = r[m]
-        for i in range(n):
-            if r[i][m]:
-                ri = r[i]
-                for j in range(n):
-                    if rm[j]:
-                        ri[j] = True
-    return r
-
-
-def exists_covering_path(g: ReachGraph) -> bool:
-    """Existence conditions on the transitive closure: every group has a
-    viable member (reachable from start, reaching final), and every pair
-    of groups has viable members ordered one way or the other."""
-    r = _reach_matrix(g)
-    I, F = g.init_idx, g.final_idx
-    if not r[I][F]:
-        return False
-    viable = [r[I][v] and r[v][F] for v in range(g.n)]
-    groups = g.property_groups()
-    chosen = []
-    for members in groups:
-        vs = [v for v in members if viable[v]]
-        if not vs:
-            return False
-        chosen.append(vs)
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            if not any(r[a][b] or r[b][a] for a in chosen[i] for b in chosen[j]):
-                return False
-    return True
-
-
 @dataclass
 class ClosedGraph:
     """Min-plus transitive closure with parent pointers for expansion."""
@@ -266,36 +222,46 @@ def transitive_closure(g: ReachGraph) -> ClosedGraph:
     return ClosedGraph(g, dist, via)
 
 
-def get_covering_path(closed: ClosedGraph) -> Optional[list[int]]:
-    """Constructive covering path on the closure from the existence
-    conditions' proof: keep a path from the start vertex, insert each
-    group's chosen member after the latest path vertex that reaches it
-    (checking the onward link), and append the final vertex.  Visits one
-    member per refinement group; returns None exactly when stuck."""
-    g = closed.base
-    I, F = g.init_idx, g.final_idx
-    viable = [closed.has(I, v) and closed.has(v, F) for v in range(g.n)]
-    path = [I]
-    for members in g.property_groups():
-        placed = False
-        for v in sorted(members):
-            if not viable[v]:
-                continue
-            for pos in range(len(path) - 1, -1, -1):
-                u = path[pos]
-                nxt = path[pos + 1] if pos + 1 < len(path) else None
-                if closed.has(u, v) and (nxt is None or closed.has(v, nxt)):
-                    path.insert(pos + 1, v)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            return None
-    if not closed.has(path[-1], F):
+def insertion_path(start: int, end: int, groups, has) -> Optional[list[int]]:
+    """Covering path by insertion: begin with [start, end] and give each
+    group, in order, its first member v that fits some slot (a, b) of the
+    path with has(a, v) and has(v, b), trying slots from the last one
+    back.  Returns None when some group has no member that fits, or when
+    there are no groups and has(start, end) fails.  Every link of a
+    returned path satisfies `has`.  On a transitively closed relation a
+    slot's two links already imply that start reaches v and v reaches
+    end, so no separate viability test is needed."""
+    if not groups and not has(start, end):
         return None
-    path.append(F)
+    path = [start, end]
+    for members in groups:
+        for v in members:
+            pos = next((p for p in range(len(path) - 2, -1, -1)
+                        if has(path[p], v) and has(v, path[p + 1])), None)
+            if pos is not None:
+                path.insert(pos + 1, v)
+                break
+        else:
+            return None
     return path
+
+
+def get_covering_path(closed: ClosedGraph) -> Optional[list[int]]:
+    """Constructive covering path on the closure: `insertion_path` from
+    the start to the final vertex over the property groups (members in
+    index order).  Visits one member per refinement group; None when the
+    insertion gets stuck, which is also how existence is decided."""
+    g = closed.base
+    return insertion_path(g.init_idx, g.final_idx,
+                          [sorted(m) for m in g.property_groups()], closed.has)
+
+
+def exists_covering_path(g: ReachGraph) -> bool:
+    """Does a covering path exist?  Decided by the constructive insertion
+    on the min-plus closure: true exactly when `get_covering_path` finds
+    one.  Exact with singleton groups, as while the abstraction is built;
+    on a refined graph it answers for the members the insertion picks."""
+    return get_covering_path(transitive_closure(g)) is not None
 
 
 def path_weights(closed: ClosedGraph, path: list[int]) -> Optional[list[int]]:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chainforge.bmc import Unrolling, check_path, get_kreach_edges, reach_check
+from chainforge.bmc import Pin, Unrolling, check_path, get_kreach_edges
 from chainforge.dsl import parse_properties
 from chainforge.model import eval_expr, run_trace
 from chainforge.oracle import pair_min_weights, random_model
@@ -23,22 +23,25 @@ def _trig(model, text):
     return props[0].assumption
 
 
+def _reach(unr, src, dst, k):
+    """Is some dst-state reachable from some src-state in exactly k steps?"""
+    return check_path(unr, [Pin(src), Pin(dst)], [k], shrink_core=False)
+
+
 def test_reach_zero_steps_self(cruise_model, cruise_unrolling, cruise_final):
-    ok, trace, inputs = reach_check(cruise_unrolling, cruise_final, cruise_final, 0)
-    assert ok and len(trace) == 1 and inputs == []
+    chk = _reach(cruise_unrolling, cruise_final, cruise_final, 0)
+    assert chk.feasible and len(chk.trace) == 1 and chk.inputs == []
 
 
 def test_reach_cruise_examples(cruise_model, cruise_unrolling, cruise_final):
     p4 = _trig(cruise_model, "mode == OFF && speed == 2 && !enable && button")
     p1 = _trig(cruise_model, "mode == ON && speed == 1 && dec")
-    ok, _, _ = reach_check(cruise_unrolling, cruise_final, p4, 2)
-    assert ok
-    ok, _, _ = reach_check(cruise_unrolling, cruise_final, p1, 1)
-    assert not ok                      # min distance is 2
-    ok, trace, inputs = reach_check(cruise_unrolling, cruise_final, p1, 2)
-    assert ok
+    assert _reach(cruise_unrolling, cruise_final, p4, 2).feasible
+    assert not _reach(cruise_unrolling, cruise_final, p1, 1).feasible   # min distance is 2
+    chk = _reach(cruise_unrolling, cruise_final, p1, 2)
+    assert chk.feasible and len(chk.trace) == 3 and len(chk.inputs) == 2
     # witness replays through the interpreter
-    assert run_trace(cruise_model, trace[0], inputs) == trace
+    assert run_trace(cruise_model, chk.trace[0], chk.inputs) == chk.trace
 
 
 def test_kreach_weight_one_edges_cruise(cruise_model, cruise_props, cruise_final):

@@ -3,8 +3,7 @@ import pytest
 from chainforge.model import (BOOL, BinOp, BoolDomain, Const, EnumDomain,
                               EvalError, IntRange, Model, ModelError,
                               Not, Ref, SortError, eval_expr, replay, run_trace,
-                              sort_of, step)
-from chainforge.oracle import reachable_states
+                              reachable_states, sort_of, step)
 
 from conftest import cruise_input
 

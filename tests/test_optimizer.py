@@ -109,6 +109,24 @@ def test_forced_order_asymmetric():
     assert heur is not None and heur.order == tour.order
 
 
+def test_heuristic_seeded_by_insertion_when_every_restart_dead_ends():
+    # closed order s < v4 < v1 < v2 < v3 < e; nearest neighbour leaves s
+    # for one of v1..v3 and can never reach v4 again, so only the
+    # insertion seed yields a tour
+    s, v1, v2, v3, v4, e = range(6)
+    rank = {s: 0, v4: 1, v1: 2, v2: 3, v3: 4, e: 5}
+    cost = [[INF] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            if rank[a] < rank[b]:
+                cost[a][b] = rank[b] - rank[a]
+    cost[s][v1], cost[s][v2], cost[s][v3], cost[s][v4] = 1, 2, 3, 10
+    inst = _inst(cost, start=s, end=e)
+    for seed in range(5):
+        tour = solve_atsp_heuristic(inst, seed=seed)
+        assert tour is not None and tour.order == [s, v4, v1, v2, v3, e]
+
+
 def test_cruise_instance_cut_gives_length_nine(cruise_model, cruise_props,
                                                cruise_final):
     unr = Unrolling(cruise_model)
@@ -135,10 +153,9 @@ def test_collapse_drops_member_but_keeps_bypass_distance():
     # b is only reachable through a; dropping a must keep I->b as 1+2
     g.weights = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 2): 5}
     closed = transitive_closure(g)
-    inst = instance_from_closure(closed, keep=[0, 2, 3], lossy=True)
+    inst = instance_from_closure(closed, keep=[0, 2, 3])
     pos = {v: i for i, v in enumerate(inst.ids)}
     assert inst.cost[pos[0]][pos[2]] == 3     # bypass through the dropped vertex
-    assert inst.lossy
 
 
 def test_singleton_groups_leave_instance_complete(cruise_model, cruise_props,
@@ -149,4 +166,3 @@ def test_singleton_groups_leave_instance_complete(cruise_model, cruise_props,
     full = instance_from_closure(closed)
     kept = instance_from_closure(closed, keep=[v.idx for v in out.graph.vertices])
     assert full.cost == kept.cost and full.ids == kept.ids
-    assert not kept.lossy

@@ -1,6 +1,7 @@
 import random
 
 from chainforge.bmc import Unrolling
+from chainforge.engine import refine
 from chainforge.model import TRUE
 from chainforge.reachgraph import (ReachGraph, Vertex,
                                    build_reach_graph, exists_covering_path,
@@ -48,6 +49,7 @@ def test_exists_covering_path_equals_brute_force():
 
 def test_constructive_path_found_iff_exists_and_is_valid():
     rng = random.Random(6)
+    split_paths = 0
     for case in range(500):
         n = rng.randint(3, 8)
         edges = random_digraph(rng, n, rng.choice((0.2, 0.35, 0.5)))
@@ -59,6 +61,23 @@ def test_constructive_path_found_iff_exists_and_is_valid():
             assert path[0] == 0 and path[-1] == n - 1
             assert set(path) >= set(range(1, n - 1))
             assert path_weights(closed, path) is not None
+        # refinement splits: one member per group, every link in the closure
+        for _ in range(rng.randint(1, 3)):
+            mid = rng.choice([v.idx for v in g.vertices if v.kind == "prop"])
+            others = [v for v in range(g.n) if v != mid]
+            refine(g, rng.choice(others), mid, rng.choice(others))
+            closed = transitive_closure(g)
+            path = get_covering_path(closed)
+            assert (path is not None) == exists_covering_path(g)
+            if path is None:
+                continue
+            split_paths += 1
+            assert path[0] == g.init_idx and path[-1] == g.final_idx
+            inner = [g.group_of[v] for v in path[1:-1]]
+            assert sorted(inner) == sorted(g.group_of[m[0]]
+                                           for m in g.property_groups())
+            assert all(closed.has(a, b) for a, b in zip(path, path[1:]))
+    assert split_paths > 100
 
 
 def test_closure_triangle_and_idempotence():

@@ -11,9 +11,10 @@ The instances are the 40 of each perfbench workload (ladder, multi,
 clusters) for workload seeds 1 and 2: 240 in all, generated by the
 checkout's own `perfbench/workloads.py`, which is imported and not
 changed.  Per instance the JSON holds the result status, every chain's
-inputs, the engine `Stats` without `wall_time_s`, and for the first
-solver its variable count, clause count, conflicts, solves and a SHA-1
-of its clause list (learnt clauses included).
+inputs, the engine `Stats` without `wall_time_s`, the result graph's
+`k_stop` and `named_edges()` (the abstraction the chain was planned on),
+and for the first solver its variable count, clause count, conflicts,
+solves and a SHA-1 of its clause list (learnt clauses included).
 
 `--compare` lists the instances whose records differ and exits 1 if any
 do.  `Stats` fields that only one of the two files has are skipped, so a
@@ -53,10 +54,15 @@ def run_instance(dsl, engine, sat, inst) -> dict:
     stats = dataclasses.asdict(res.stats)
     del stats["wall_time_s"]
     s = solvers[0]
+    g = res.graph
     return {
         "status": res.status,
         "chains": [list(c.inputs) for c in res.chains],
         "stats": stats,
+        "graph": None if g is None else {
+            "k_stop": g.k_stop,
+            "edges": [list(e) for e in g.named_edges()],
+        },
         "solver": {
             "nvars": s.nvars,
             "clauses": len(s.clauses),
