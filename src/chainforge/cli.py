@@ -197,14 +197,16 @@ def cmd_bench(args) -> int:
         exp = json.loads(expected.read_text())
         model = _load_model(str(model_file))
         props = _load_props(str(props_file), model) if model else None
-        if model is None or props is None:
+        init_expr = final_expr = None
+        if props is not None:
+            init_expr = (_parse_set(exp["init"], model, "init")
+                         if "init" in exp else model.init_expr())
+            final_expr = (_parse_set(exp["final"], model, "final")
+                          if "final" in exp else init_expr)
+        if init_expr is None or final_expr is None:
             rows.append((bench_dir.name, "-", "-", "-", "-", "-", "parse error"))
             failures += 1
             continue
-        init_expr = (_parse_set(exp["init"], model, "init")
-                     if "init" in exp else model.init_expr())
-        final_expr = (_parse_set(exp["final"], model, "final")
-                      if "final" in exp else init_expr)
         cfg = EngineConfig(k_max=exp.get("k_max", 50), seed=args.seed)
         t0 = time.perf_counter()
         try:

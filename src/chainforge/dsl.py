@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from .model import (BOOL, CMP_OPS, BoolDomain, BinOp, Const, Domain,
                     EnumDomain, Expr, IntRange, Ite, Model, Not,
-                    Property, Ref, SortError, eval_expr, sort_of,
+                    Property, Ref, SortError, StateSpace, eval_expr, sort_of,
                     SPACE_INPUT, SPACE_NEXT, SPACE_STATE, TRUE)
 
 KEYWORDS = {"model", "state", "input", "assume", "invariant", "init", "trans",
@@ -206,6 +206,14 @@ class _Parser:
             raise ParseError(f"expected {what}, found '{t.text or t.kind}'", t.span)
         return self.next()
 
+    def signed_int(self) -> int:
+        """An integer literal with an optional leading '-'."""
+        neg = self.at("punct", "-")
+        if neg:
+            self.next()
+        v = int(self.expect("int").text)
+        return -v if neg else v
+
     # -- expressions (C-like precedence) ------------------------------------
 
     def expr(self) -> RawExpr:
@@ -271,13 +279,8 @@ class _Parser:
             e = self.expr()
             self.expect("punct", ")")
             return e
-        if self.at("punct", "-"):
-            self.next()
-            num = self.expect("int")
-            return RInt(-int(num.text), t.span)
-        if t.kind == "int":
-            self.next()
-            return RInt(int(t.text), t.span)
+        if self.at("punct", "-") or t.kind == "int":
+            return RInt(self.signed_int(), t.span)
         if t.kind == "ident":
             if t.text == "true":
                 self.next()
@@ -314,19 +317,9 @@ class _Parser:
             if len(set(consts)) != len(consts):
                 raise ParseError("duplicate constants in enum domain", t.span)
             return EnumDomain(enum_name, tuple(consts))
-        neg = False
-        if self.at("punct", "-"):
-            self.next()
-            neg = True
-        lo_t = self.expect("int")
-        lo = -int(lo_t.text) if neg else int(lo_t.text)
+        lo = self.signed_int()
         self.expect("punct", "..")
-        neg = False
-        if self.at("punct", "-"):
-            self.next()
-            neg = True
-        hi_t = self.expect("int")
-        hi = -int(hi_t.text) if neg else int(hi_t.text)
+        hi = self.signed_int()
         if lo > hi:
             raise ParseError(f"empty domain {lo}..{hi}", t.span)
         return IntRange(lo, hi)
@@ -338,12 +331,7 @@ class _Parser:
                 return self.next().text == "true"
             raise ParseError(f"expected true/false for {what}", t.span)
         if isinstance(dom, IntRange):
-            neg = False
-            if self.at("punct", "-"):
-                self.next()
-                neg = True
-            v = int(self.expect("int").text)
-            v = -v if neg else v
+            v = self.signed_int()
             if not dom.contains(v):
                 raise ParseError(f"initial value {v} outside domain {dom}", t.span)
             return v
@@ -557,6 +545,9 @@ def parse_properties(text: str, model: Model, filename: str = "<props>"):
     diags: list[Diagnostic] = []
     props: list[Property] = []
     sym = _model_symbols(model)
+    # a model too big to enumerate gets no space and no trigger warnings
+    space = (StateSpace(model) if model.state_space_size() * model.input_space_size()
+             <= ENUM_CHECK_LIMIT else None)
     try:
         p = _Parser(text, filename)
         seen: set[str] = set()
@@ -580,7 +571,7 @@ def parse_properties(text: str, model: Model, filename: str = "<props>"):
                 if sort_of(b) != BOOL:
                     raise ParseError("assume/assert need boolean expressions", span)
             props.append(Property(name.text, phi, psi))
-            if not _trigger_satisfiable(model, phi):
+            if space is not None and next(space.triggered(phi), None) is None:
                 diags.append(Diagnostic(
                     "warning",
                     f"trigger of '{name.text}' is unsatisfiable under the state invariant",
@@ -589,18 +580,6 @@ def parse_properties(text: str, model: Model, filename: str = "<props>"):
         diags.append(ex.diagnostic)
         return [], diags
     return props, diags
-
-
-def _trigger_satisfiable(model: Model, phi: Expr) -> bool:
-    if model.state_space_size() * model.input_space_size() > ENUM_CHECK_LIMIT:
-        return True  # too big to enumerate; skip the sanity warning
-    legal = model.legal_inputs()
-    for s in model.all_states():
-        if not eval_expr(model.state_invariant, s):
-            continue
-        if any(eval_expr(phi, s, i) for i in legal):
-            return True
-    return False
 
 
 def _model_symbols(model: Model) -> _Symbols:

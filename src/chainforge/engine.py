@@ -6,6 +6,7 @@ concretisation fails (cheapest remedy first).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -13,9 +14,9 @@ from typing import Callable, Optional
 from . import sat
 from .bmc import Pin, PathCheck, Unrolling, check_path
 from .model import (BOOL, BinOp, Const, Expr, Model, Not, Property, SPACE_NEXT,
-                    SPACE_STATE, SPACE_INPUT, SortError, TestChain,
-                    check_spaces, conj, disj, eval_expr, reachable_states,
-                    sort_of, step)
+                    SPACE_STATE, SPACE_INPUT, SortError, StateSpace, TestChain,
+                    check_spaces, conj, covers, disj, reachable_states,
+                    run_trace, sort_of)
 from .optimizer import instance_from_closure, solve_atsp, tour_to_vertex_path
 from .reachgraph import (PROP, ReachGraph, WeightCache, build_reach_graph,
                          expand_path, get_covering_path, transitive_closure)
@@ -498,24 +499,18 @@ def _finish(unr: Unrolling, model: Model, props, g: ReachGraph, vs, ws,
             chk: PathCheck, cfg: EngineConfig, stats: Stats) -> ChainResult:
     trace, inputs = chk.trace, chk.inputs
     # ground-truth the decoded run and recover cover positions from it
-    replayed = [dict(trace[0])]
-    for iv in inputs:
-        replayed.append(step(model, replayed[-1], iv))
-    if replayed != [dict(s) for s in trace]:
+    if run_trace(model, trace[0], inputs) != [dict(s) for s in trace]:
         raise RuntimeError("decoded trace does not replay; encoder and "
                            "interpreter disagree")
-    covers: dict[str, int] = {}
+    covered: dict[str, int] = {}
     for k in range(len(inputs)):
         for p in props:
-            if p.name in covers:
-                continue
-            if eval_expr(p.assumption, trace[k], inputs[k]) and \
-                    eval_expr(p.assertion, trace[k], inputs[k], trace[k + 1]):
-                covers[p.name] = k
-    missing = [p.name for p in props if p.name not in covers]
+            if p.name not in covered and covers(p, trace[k], inputs[k], trace[k + 1]):
+                covered[p.name] = k
+    missing = [p.name for p in props if p.name not in covered]
     if missing:
         raise RuntimeError(f"concretised chain does not cover {missing}")
-    chain = TestChain(tuple(inputs), tuple(trace), covers)
+    chain = TestChain(tuple(inputs), tuple(trace), covered)
     stats.abstract_path = [g.vertices[v].name for v in vs]
     stats.abstract_weights = list(ws)
     stats.path_vertex_distinct = len(set(vs)) == len(vs)
@@ -532,15 +527,6 @@ def _singleton_triggers(model: Model, props, limit: int = 1 << 14) -> bool:
     trigger's state projection is a single state (under the invariant)."""
     if model.state_space_size() * max(model.input_space_size(), 1) > limit:
         return False
-    legal = model.legal_inputs()
-    names = [n for n, _ in model.state_vars]
-    for p in props:
-        trig = set()
-        for s in model.all_states():
-            if not eval_expr(model.state_invariant, s):
-                continue
-            if any(eval_expr(p.assumption, s, iv) for iv in legal):
-                trig.add(tuple(s[n] for n in names))
-                if len(trig) > 1:
-                    return False
-    return True
+    space = StateSpace(model)
+    return all(len(list(itertools.islice(space.triggered(p.assumption), 2))) <= 1
+               for p in props)

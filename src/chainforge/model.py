@@ -7,13 +7,16 @@ expressions in its transition table.  The interpreter here is the ground
 truth that the symbolic layers are checked against, and it is what test
 replay uses.
 
-All objects are immutable after construction; every function in this
-module is pure and safe to call concurrently.
+All objects are immutable after construction, except that a `StateSpace`
+fills its successor cache as it is queried, so one instance should not be
+shared between threads; every function in this module is pure and safe to
+call concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
@@ -462,25 +465,73 @@ def step(m: Model, s: StateVec, i: InputVec, check: bool = True) -> dict[str, Va
     return nxt
 
 
+def covers(p: Property, s: StateVec, i: InputVec, nxt: StateVec) -> bool:
+    """Whether the transition `s --i--> nxt` covers `p`: its trigger holds
+    at (s, i) and its assertion holds on the transition."""
+    return bool(eval_expr(p.assumption, s, i)) and bool(eval_expr(p.assertion, s, i, nxt))
+
+
+class StateSpace:
+    """Enumerated view of a model: the states inside the invariant in
+    `all_states()` order, the legal inputs, and the concrete successor
+    function over their indices, computed on first use."""
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.names = [n for n, _ in model.state_vars]
+        self.inputs = model.legal_inputs()
+        self.states = [s for s in model.all_states()
+                       if eval_expr(model.state_invariant, s)]
+        self.index = {self.key(s): i for i, s in enumerate(self.states)}
+        self._succ: dict[tuple[int, int], Optional[int]] = {}
+
+    def key(self, s: StateVec) -> tuple:
+        return tuple(s[n] for n in self.names)
+
+    def succ(self, si: int, ii: int) -> Optional[int]:
+        """Successor state index, or None if it leaves the invariant."""
+        k = (si, ii)
+        if k not in self._succ:
+            nxt = step(self.model, self.states[si], self.inputs[ii], check=False)
+            self._succ[k] = self.index.get(self.key(nxt))
+        return self._succ[k]
+
+    def where(self, e: Expr) -> list[int]:
+        """Indices of the states where the state predicate `e` holds."""
+        return [i for i, s in enumerate(self.states) if eval_expr(e, s)]
+
+    def triggered(self, phi: Expr) -> Iterator[int]:
+        """Indices of the states where `phi` holds under some legal input,
+        in order, so a caller may stop early."""
+        for i, s in enumerate(self.states):
+            if any(eval_expr(phi, s, iv) for iv in self.inputs):
+                yield i
+
+    def distances(self, sources: Mapping[int, int],
+                  cap: Optional[int] = None) -> dict[int, int]:
+        """Breadth-first distances from `sources` (index -> start depth,
+        all equal) without leaving the invariant; states at depth `cap`
+        or more are not expanded."""
+        dist = dict(sources)
+        q = deque(sorted(sources))
+        while q:
+            si = q.popleft()
+            if cap is not None and dist[si] >= cap:
+                continue
+            for ii in range(len(self.inputs)):
+                t = self.succ(si, ii)
+                if t is not None and t not in dist:
+                    dist[t] = dist[si] + 1
+                    q.append(t)
+        return dist
+
+
 def reachable_states(m: Model) -> list[dict[str, Value]]:
     """Every state reachable from the initial-state set under legal
     inputs without leaving the state invariant, in `all_states()` order."""
-    names = [n for n, _ in m.state_vars]
-    states = [s for s in m.all_states() if eval_expr(m.state_invariant, s)]
-    index = {tuple(s[n] for n in names): i for i, s in enumerate(states)}
-    inputs = m.legal_inputs()
-    init = m.init_expr()
-    seen = {i for i, s in enumerate(states) if eval_expr(init, s)}
-    frontier = list(seen)
-    while frontier:
-        s = states[frontier.pop()]
-        for iv in inputs:
-            nxt = step(m, s, iv, check=False)
-            j = index.get(tuple(nxt[n] for n in names))
-            if j is not None and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return [states[i] for i in sorted(seen)]
+    space = StateSpace(m)
+    reach = space.distances(dict.fromkeys(space.where(m.init_expr()), 0))
+    return [space.states[i] for i in sorted(reach)]
 
 
 def run_trace(m: Model, s0: StateVec, inputs) -> list[dict[str, Value]]:
@@ -515,23 +566,22 @@ def replay(m: Model, props, final: Expr, inputs) -> ReplayReport:
     if s0 is None:
         raise EvalError("replay requires a model with deterministic initial values")
     trace = [s0]
-    covers: dict[str, int] = {}
+    covered: dict[str, int] = {}
     violations: list[tuple[str, int]] = []
     for k, iv in enumerate(inputs):
         s = trace[-1]
         nxt = step(m, s, iv)
         for p in props:
-            if eval_expr(p.assumption, s, iv):
-                if eval_expr(p.assertion, s, iv, nxt):
-                    covers.setdefault(p.name, k)
-                else:
-                    violations.append((p.name, k))
+            if covers(p, s, iv, nxt):
+                covered.setdefault(p.name, k)
+            elif eval_expr(p.assumption, s, iv):
+                violations.append((p.name, k))
         trace.append(nxt)
     final_ok = bool(eval_expr(final, trace[-1]))
-    uncovered = tuple(p.name for p in props if p.name not in covers)
+    uncovered = tuple(p.name for p in props if p.name not in covered)
     ok = final_ok and not violations and not uncovered
     chain = None
     if ok:
-        chain = TestChain(tuple(inputs), tuple(trace), dict(covers))
-    return ReplayReport(ok, chain, tuple(trace), covers, tuple(violations),
+        chain = TestChain(tuple(inputs), tuple(trace), dict(covered))
+    return ReplayReport(ok, chain, tuple(trace), covered, tuple(violations),
                         uncovered, final_ok)

@@ -1,4 +1,5 @@
-"""Independent ground truth by explicit-state search.
+"""Independent ground truth by explicit-state search over
+`model.StateSpace`.
 
 `oracle_min_chain` runs BFS over (concrete state, covered-property
 bitmask) product nodes and returns the true minimal chain length, used as
@@ -17,69 +18,26 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import (BinOp, Const, EvalError, Expr, IntRange, Ite, Model,
-                    Property, Ref, SPACE_INPUT, SPACE_STATE, TRUE,
-                    eval_expr, step)
+                    Property, Ref, SPACE_INPUT, SPACE_STATE, StateSpace, TRUE,
+                    covers, eval_expr, step)
 
 
 class OracleLimit(Exception):
     """The product space exceeds the configured node limit."""
 
 
-def _key(d: dict, names: list[str]) -> tuple:
-    return tuple(d[n] for n in names)
-
-
-class Explicit:
-    """Enumerated view of a model: invariant states, legal inputs, and the
-    concrete successor function."""
-
-    def __init__(self, model: Model, node_limit: int = 1_000_000):
-        if model.state_space_size() > node_limit:
-            raise OracleLimit("state space exceeds the explicit-state limit")
-        self.model = model
-        self.state_names = [n for n, _ in model.state_vars]
-        self.input_names = [n for n, _ in model.inputs]
-        self.inputs = model.legal_inputs()
-        self.states = [s for s in model.all_states()
-                       if eval_expr(model.state_invariant, s)]
-        self.index = {_key(s, self.state_names): i for i, s in enumerate(self.states)}
-        self._succ: dict[tuple[int, int], int] = {}
-
-    def succ(self, si: int, ii: int) -> Optional[int]:
-        """Successor state index, or None if it leaves the invariant."""
-        k = (si, ii)
-        if k not in self._succ:
-            nxt = step(self.model, self.states[si], self.inputs[ii], check=False)
-            self._succ[k] = self.index.get(_key(nxt, self.state_names), -1)
-        r = self._succ[k]
-        return None if r == -1 else r
-
-    def states_where(self, e: Expr) -> list[int]:
-        return [i for i, s in enumerate(self.states) if eval_expr(e, s)]
-
-    def init_states(self) -> list[int]:
-        init = self.model.init_expr()
-        return self.states_where(init)
+def _space(model: Model, node_limit: int) -> StateSpace:
+    if model.state_space_size() > node_limit:
+        raise OracleLimit("state space exceeds the explicit-state limit")
+    return StateSpace(model)
 
 
 def reachability_diameter(model: Model, node_limit: int = 1_000_000) -> int:
     """Longest finite shortest path between invariant states (BFS from
     every state)."""
-    ex = Explicit(model, node_limit)
-    n = len(ex.states)
-    diam = 0
-    for s0 in range(n):
-        dist = {s0: 0}
-        q = deque([s0])
-        while q:
-            si = q.popleft()
-            for ii in range(len(ex.inputs)):
-                t = ex.succ(si, ii)
-                if t is not None and t not in dist:
-                    dist[t] = dist[si] + 1
-                    q.append(t)
-        diam = max(diam, max(dist.values()))
-    return diam
+    space = _space(model, node_limit)
+    return max((max(space.distances({si: 0}).values())
+                for si in range(len(space.states))), default=0)
 
 
 def oracle_min_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
@@ -87,13 +45,13 @@ def oracle_min_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     """True minimal covering-chain length by product BFS, or None when no
     chain exists.  A property counts as covered only when its assertion
     holds on the covering transition, mirroring generation."""
-    ex = Explicit(model, node_limit)
+    space = _space(model, node_limit)
     nprops = len(props)
-    if len(ex.states) * (1 << nprops) > node_limit:
+    if len(space.states) * (1 << nprops) > node_limit:
         raise OracleLimit("product space exceeds the node limit")
     full = (1 << nprops) - 1
-    final_set = set(ex.states_where(final_expr))
-    start = [(si, 0) for si in ex.init_states()]
+    final_set = set(space.where(final_expr))
+    start = [(si, 0) for si in space.where(model.init_expr())]
     dist = {node: 0 for node in start}
     q = deque(start)
     for (si, mask) in start:
@@ -103,17 +61,14 @@ def oracle_min_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
         node = q.popleft()
         si, mask = node
         d = dist[node]
-        s = ex.states[si]
-        for ii, iv in enumerate(ex.inputs):
-            ti = ex.succ(si, ii)
+        s = space.states[si]
+        for ii, iv in enumerate(space.inputs):
+            ti = space.succ(si, ii)
             if ti is None:
                 continue
             nmask = mask
             for p_i, p in enumerate(props):
-                if nmask >> p_i & 1:
-                    continue
-                if eval_expr(p.assumption, s, iv) and \
-                        eval_expr(p.assertion, s, iv, ex.states[ti]):
+                if not nmask >> p_i & 1 and covers(p, s, iv, space.states[ti]):
                     nmask |= 1 << p_i
             nxt = (ti, nmask)
             if nxt not in dist:
@@ -137,36 +92,17 @@ def pair_min_weights(model: Model, props, init_expr: Expr, final_expr: Expr,
     property target needs some legal input satisfying its trigger at the
     arrival step (its assertion too when the pair coincides at weight 0),
     and a final edge from a property is never 0."""
-    ex = Explicit(model, node_limit)
+    space = _space(model, node_limit)
     names = ["I"] + [p.name for p in props] + ["F"]
-    final_set = set(ex.states_where(final_expr))
-    init_set = set(ex.init_states())
+    final_set = set(space.where(final_expr))
+    init_set = set(space.where(model.init_expr()))
+    triggers = [set(space.triggered(p.assumption)) for p in props]
+    n_in = len(space.inputs)
 
     def covers_here(p: Property, si: int, ii: int) -> bool:
-        ti = ex.succ(si, ii)
-        if ti is None:
-            return False
-        s, iv = ex.states[si], ex.inputs[ii]
-        return eval_expr(p.assumption, s, iv) and \
-            eval_expr(p.assertion, s, iv, ex.states[ti])
-
-    def trigger_states(p: Property) -> set[int]:
-        return {si for si, s in enumerate(ex.states)
-                if any(eval_expr(p.assumption, s, iv) for iv in ex.inputs)}
-
-    def bfs_dist(frontier: dict[int, int]) -> dict[int, int]:
-        dist = dict(frontier)
-        q = deque(sorted(frontier))
-        while q:
-            si = q.popleft()
-            if dist[si] >= k_cap:
-                continue
-            for ii in range(len(ex.inputs)):
-                t = ex.succ(si, ii)
-                if t is not None and t not in dist:
-                    dist[t] = dist[si] + 1
-                    q.append(t)
-        return dist
+        ti = space.succ(si, ii)
+        return ti is not None and covers(p, space.states[si], space.inputs[ii],
+                                         space.states[ti])
 
     weights: dict[tuple[str, str], int] = {}
     for i_src in range(len(names) - 1):
@@ -174,25 +110,24 @@ def pair_min_weights(model: Model, props, init_expr: Expr, final_expr: Expr,
         if src_name == "I":
             # zero-step pairs: an initial state whose own covering
             # transition works (source has no assertion of its own)
-            for j, q in enumerate(props, start=1):
-                if any(covers_here(q, si, ii)
-                       for si in init_set for ii in range(len(ex.inputs))):
+            for q in props:
+                if any(covers_here(q, si, ii) for si in init_set for ii in range(n_in)):
                     weights[("I", q.name)] = 0
             if not props and init_set & final_set:
                 weights[("I", "F")] = 0
-            dist = bfs_dist({si: 0 for si in init_set})
+            dist = space.distances(dict.fromkeys(init_set, 0), cap=k_cap)
         else:
             p = props[i_src - 1]
-            covs = [(si, ii) for si in range(len(ex.states))
-                    for ii in range(len(ex.inputs)) if covers_here(p, si, ii)]
-            for j, q in enumerate(props, start=1):
+            covs = [(si, ii) for si in range(len(space.states))
+                    for ii in range(n_in) if covers_here(p, si, ii)]
+            for q in props:
                 if q.name == src_name:
                     continue
                 # weight 0: one transition covers both properties
                 if any(covers_here(q, si, ii) for (si, ii) in covs):
                     weights[(src_name, q.name)] = 0
-            succ0 = {ex.succ(si, ii) for (si, ii) in covs}
-            dist = bfs_dist({t: 1 for t in succ0 if t is not None})
+            succ0 = {space.succ(si, ii) for (si, ii) in covs}
+            dist = space.distances({t: 1 for t in succ0 if t is not None}, cap=k_cap)
         for j in range(1, len(names)):
             if j == i_src or (src_name, names[j]) in weights:
                 continue
@@ -201,7 +136,7 @@ def pair_min_weights(model: Model, props, init_expr: Expr, final_expr: Expr,
                     continue  # not a target pair
                 tgt = final_set
             else:
-                tgt = trigger_states(props[j - 1])
+                tgt = triggers[j - 1]
             # at distance 0 the stricter zero-step rule above applies, so
             # only depths >= 1 count here
             ds = [dist[t] for t in tgt if t in dist and dist[t] >= 1]
@@ -349,9 +284,7 @@ def random_baseline(model: Model, props, init_expr: Expr, final_expr: Expr,
             nxt = step(model, s, iv, check=False)
             steps += 1
             for p in props:
-                if p.name in covered:
-                    continue
-                if eval_expr(p.assumption, s, iv) and eval_expr(p.assertion, s, iv, nxt):
+                if p.name not in covered and covers(p, s, iv, nxt):
                     covered.add(p.name)
             walk.append(iv)
             s = nxt

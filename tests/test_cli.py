@@ -128,3 +128,20 @@ def test_bench_flags_regression(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "len!=7" in out
+
+
+def test_bench_reports_unparsable_init(tmp_path, capsys):
+    import shutil
+    d = tmp_path / "suite" / "cruise_badinit"
+    d.mkdir(parents=True)
+    for f in ("model.rsys", "props.props"):
+        shutil.copy(CRUISE / f, d / f)
+    exp = json.loads((CRUISE / "expected.json").read_text())
+    exp["init"] = "mode == NOPE"
+    (d / "expected.json").write_text(json.dumps(exp))
+    code = run_cli("bench", str(tmp_path / "suite"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "undeclared name 'NOPE'" in captured.err
+    rows = [l for l in captured.out.splitlines() if l.startswith("cruise_badinit")]
+    assert len(rows) == 1 and rows[0].rstrip().endswith("parse error")

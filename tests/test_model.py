@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
-from chainforge.model import (BOOL, BinOp, BoolDomain, Const, EnumDomain,
+from chainforge.model import (BOOL, TRUE, BinOp, BoolDomain, Const, EnumDomain,
                               EvalError, IntRange, Model, ModelError,
-                              Not, Ref, SortError, eval_expr, replay, run_trace,
+                              Not, Property, Ref, SortError, StateSpace,
+                              eval_expr, replay, run_trace,
                               reachable_states, sort_of, step)
+from chainforge.oracle import int_const, oracle_min_chain, state_eq, table_model
 
 from conftest import cruise_input
 
@@ -124,6 +128,35 @@ def test_cruise_reachable_set_matches_published_machine(cruise_model):
                   if eval_expr(cruise_model.state_invariant, s)]
     assert len(inv_states) == 9                  # reachable set plus (OFF,1,T)
     assert cruise_model.state_space_size() == 18
+
+
+def test_state_space_helpers_on_cruise(cruise_model):
+    space = StateSpace(cruise_model)
+    assert len(space.states) == 9
+    init = space.where(cruise_model.init_expr())
+    assert [space.states[i] for i in init] == [cruise_model.initial_state()]
+    dist = space.distances(dict.fromkeys(init, 0))
+    assert [space.states[i] for i in sorted(dist)] == reachable_states(cruise_model)
+    assert space.distances(dict.fromkeys(init, 0), cap=1) == \
+        {i: d for i, d in dist.items() if d <= 1}
+    enabled = cruise_model.state_ref("enable")
+    hits = space.triggered(BinOp("&&", enabled, cruise_model.input_ref("button")))
+    assert next(hits) == space.where(enabled)[0]
+
+
+def test_invariant_that_cuts_a_cycle_stops_exploration():
+    """On the cycle 0 -> 1 -> 2 -> 3 -> 0 with state 2 outside the
+    invariant, the step out of 1 leaves the invariant, so state 3 is
+    never reached and no chain can cover a property on it."""
+    m = table_model("cut", [[1], [2], [3], [0]])
+    m = dataclasses.replace(m, state_invariant=BinOp("!=", m.state_ref("s"),
+                                                     int_const(2)))
+    space = StateSpace(m)
+    assert [s["s"] for s in space.states] == [0, 1, 3]
+    assert space.succ(0, 0) == 1 and space.succ(1, 0) is None
+    assert reachable_states(m) == [{"s": 0}, {"s": 1}]
+    behind = Property("p", state_eq(m, 3), TRUE)
+    assert oracle_min_chain(m, [behind], state_eq(m, 0), state_eq(m, 0)) is None
 
 
 def test_replay_canonical_cruise_chain(cruise_model, cruise_props, cruise_final):

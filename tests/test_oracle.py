@@ -94,6 +94,21 @@ def test_pair_min_weights_agree_with_explicit_definition():
     assert w[("p1", "F")] == 1
 
 
+def test_pair_min_weights_cap_keeps_exactly_the_short_weights():
+    """A cap c stops the BFS from expanding states at depth c, so it must
+    find exactly the uncapped weights of at most c."""
+    longest = 0
+    for seed in range(12):
+        gen = random_model(seed, multi_state=seed % 2 == 1)
+        args = (gen.model, gen.props, gen.init_expr, gen.final_expr)
+        full = pair_min_weights(*args, k_cap=1 << 30)
+        longest = max(longest, *full.values())
+        for c in range(5):
+            want = {pair: w for pair, w in full.items() if w <= c}
+            assert pair_min_weights(*args, k_cap=c) == want, (seed, c)
+    assert longest > 4                  # some weight is really cut off
+
+
 def test_baseline_cruise_full_coverage(cruise_model, cruise_props, cruise_final):
     res = random_baseline(cruise_model, cruise_props, cruise_final, cruise_final,
                           budget=20000, seed=3)

@@ -13,8 +13,10 @@ checkout's own `perfbench/workloads.py`, which is imported and not
 changed.  Per instance the JSON holds the result status, every chain's
 inputs, the engine `Stats` without `wall_time_s`, the result graph's
 `k_stop` and `named_edges()` (the abstraction the chain was planned on),
-and for the first solver its variable count, clause count, conflicts,
-solves and a SHA-1 of its clause list (learnt clauses included).
+for the first solver its variable count, clause count, conflicts,
+solves and a SHA-1 of its clause list (learnt clauses included), and the
+explicit-state references `oracle_min_chain` and `pair_min_weights` on
+the instance's full property set.
 
 `--compare` lists the instances whose records differ and exits 1 if any
 do.  `Stats` fields that only one of the two files has are skipped, so a
@@ -35,7 +37,18 @@ WORKLOADS = ("ladder", "multi", "clusters")
 WORKLOAD_SEEDS = (1, 2)
 
 
-def run_instance(dsl, engine, sat, inst) -> dict:
+def oracle_record(oracle, model, props, init, final) -> dict:
+    """The oracle's minimal chain length and pairwise weights, or the
+    exception either raised."""
+    try:
+        weights = oracle.pair_min_weights(model, props, init, final)
+        return {"min_chain": oracle.oracle_min_chain(model, props, init, final),
+                "pair_weights": sorted([a, b, w] for (a, b), w in weights.items())}
+    except Exception as ex:
+        return {"error": repr(ex)}
+
+
+def run_instance(dsl, engine, oracle, sat, inst) -> dict:
     model, _ = dsl.parse_model(inst.model, inst.name)
     props, _ = dsl.parse_properties(inst.props, model, inst.name)
     init, _ = dsl.parse_state_set(inst.init, model)
@@ -47,10 +60,11 @@ def run_instance(dsl, engine, sat, inst) -> dict:
         return solvers[-1]
 
     cfg = engine.EngineConfig(k_max=inst.k_max, solver_factory=factory)
+    ref = oracle_record(oracle, model, props, init, final)
     try:
         res = engine.generate_chain(model, props, init, final, cfg)
     except Exception as ex:  # a crash is a difference like any other
-        return {"error": repr(ex)}
+        return {"error": repr(ex), "oracle": ref}
     stats = dataclasses.asdict(res.stats)
     del stats["wall_time_s"]
     s = solvers[0]
@@ -63,6 +77,7 @@ def run_instance(dsl, engine, sat, inst) -> dict:
             "k_stop": g.k_stop,
             "edges": [list(e) for e in g.named_edges()],
         },
+        "oracle": ref,
         "solver": {
             "nvars": s.nvars,
             "clauses": len(s.clauses),
@@ -75,13 +90,13 @@ def run_instance(dsl, engine, sat, inst) -> dict:
 
 def run(root: Path) -> dict:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from chainforge import dsl, engine, sat
+    from chainforge import dsl, engine, oracle, sat
     import workloads
     out = {}
     for name in WORKLOADS:
         for seed in WORKLOAD_SEEDS:
             for inst in workloads.generate(name, seed):
-                out[inst.name] = run_instance(dsl, engine, sat, inst)
+                out[inst.name] = run_instance(dsl, engine, oracle, sat, inst)
     return out
 
 
