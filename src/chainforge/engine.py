@@ -220,100 +220,38 @@ def refine(g: ReachGraph, pred: int, mid: int, succ: int) -> int:
 
 def partition_vertex_sets(vertices: list[int],
                           conflicts: list[tuple[int, int]]) -> list[set[int]]:
-    """Split the vertex set so no class contains a conflicting pair:
-    build candidate classes with allowed/forbidden bookkeeping, take a
-    minimal cover of the conflicted vertices, attach the untouched rest
-    to the largest class."""
-    if not conflicts:
-        return [set(vertices)]
-    q = set(vertices)
-    classes: list[tuple[set[int], set[int]]] = []
-    for (vi, vj) in conflicts:
-        q.discard(vi)
-        q.discard(vj)
-        if not classes:
-            classes = [({vi}, {vj}), ({vj}, {vi})]
-            continue
-        kept: list[tuple[set[int], set[int]]] = []
-        added: list[tuple[set[int], set[int]]] = []
-        for (pp, pm) in classes:
-            if vi in pp and vj in pp:
-                # the conflict landed inside this class: split it both ways
-                # rather than discarding it wholesale
-                added.append((pp - {vj}, pm | {vj}))
-                added.append((pp - {vi}, pm | {vi}))
-                continue
-            if vi in pm and vj not in pm and vj not in pp:
-                pp.add(vj)
-            elif vi not in pm and vj not in pm and vj in pp:
-                pm.add(vi)
-            elif vj in pm and vi not in pm and vi not in pp:
-                pp.add(vi)
-            elif vj not in pm and vi not in pm and vi in pp:
-                pm.add(vj)
-            elif vi not in pp | pm and vj not in pp | pm:
-                added.append((pp | {vi}, pm | {vj}))
-                pp, pm = pp | {vj}, pm | {vi}
-            kept.append((pp, pm))
-        classes = []
-        seen_cls: set[tuple[frozenset, frozenset]] = set()
-        for (pp, pm) in kept + added:
-            key = (frozenset(pp), frozenset(pm))
-            if key not in seen_cls:
-                seen_cls.add(key)
-                classes.append((pp, pm))
-    conflicted = sorted({v for pair in conflicts for v in pair})
-    pools = [pp for (pp, _) in classes]
-    if not pools or not _covers(pools, conflicted):
-        pools += [{v} for v in conflicted]  # singletons always satisfy the rules
-    chosen = _min_cover(conflicted, pools)
-    chosen.sort(key=lambda s: (-len(s), sorted(s)))
-    out: list[set[int]] = []
-    for s in chosen:
-        if s not in out:
-            out.append(set(s))
-    out[0] |= q  # leftovers join the largest class
-    return out
+    """The fewest classes with no conflicting pair inside one class: an
+    exact minimum colouring of the conflict graph.  Tries k = 1, 2, ...
+    classes by backtracking in vertex order; a vertex tries the classes
+    already opened and then only the first empty one, since empty classes
+    are interchangeable.  Largest class first."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for a, b in conflicts:
+        adj[a].add(b)
+        adj[b].add(a)
+    classes: list[set[int]] = []
 
+    def place(i: int, k: int) -> bool:
+        if i == len(vertices):
+            return True
+        v = vertices[i]
+        for c in classes:
+            if not adj[v] & c:
+                c.add(v)
+                if place(i + 1, k):
+                    return True
+                c.remove(v)
+        if len(classes) < k:
+            classes.append({v})
+            if place(i + 1, k):
+                return True
+            classes.pop()
+        return False
 
-def _covers(pools: list[set[int]], target: list[int]) -> bool:
-    u: set[int] = set()
-    for p in pools:
-        u |= p
-    return set(target) <= u
-
-
-def _min_cover(target: list[int], pools: list[set[int]]) -> list[set[int]]:
-    """Minimal set cover: exact branch-and-bound for small families,
-    greedy beyond."""
-    target_set = set(target)
-    if len(pools) <= 20:
-        best: list[list[set[int]]] = [[]]
-        found: list[Optional[list[set[int]]]] = [None]
-
-        def bnb(uncovered: set[int], chosen: list[set[int]]):
-            if found[0] is not None and len(chosen) >= len(found[0]):
-                return
-            if not uncovered:
-                found[0] = list(chosen)
-                return
-            v = min(uncovered)
-            for p in pools:
-                if v in p:
-                    bnb(uncovered - p, chosen + [p])
-
-        bnb(target_set, [])
-        if found[0] is not None:
-            return found[0]
-    chosen = []
-    uncovered = set(target_set)
-    while uncovered:
-        p = max(pools, key=lambda s: (len(s & uncovered), -len(s)))
-        if not p & uncovered:
-            break
-        chosen.append(p)
-        uncovered -= p
-    return chosen
+    k = 1
+    while not place(0, k):
+        k += 1
+    return sorted(classes, key=lambda s: (-len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +277,7 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     cache = WeightCache()
     try:
         result = _generate(unr, model, list(props), init_expr, final_expr, cfg,
-                           cache, stats, depth=len(props) + 1)
+                           cache, stats)
     except sat.SolverLimit as ex:
         raise TimeoutAbort(str(ex)) from ex
     finally:
@@ -351,14 +289,14 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
 
 def _generate(unr: Unrolling, model: Model, props: list[Property],
               init_expr: Expr, final_expr: Expr, cfg: EngineConfig,
-              cache: WeightCache, stats: Stats, depth: int) -> ChainResult:
+              cache: WeightCache, stats: Stats) -> ChainResult:
     out = build_reach_graph(unr, props, init_expr, final_expr, cfg.k_max,
                             exhaust=cfg.exhaust_k, cache=cache)
     stats.k_reached = max(stats.k_reached, out.graph.k_stop)
     if out.status == "bound-exceeded":
         # some pairs may simply be unreachable; a partition can still work
         res = _try_partition(unr, model, props, init_expr, final_expr, cfg,
-                             cache, stats, depth, out.graph)
+                             cache, stats, out.graph)
         if res.chains:
             return res
         detail = f" ({res.reason})" if res.reason and "single chain" not in res.reason else ""
@@ -380,14 +318,20 @@ def _generate(unr: Unrolling, model: Model, props: list[Property],
         return single
     # single-chain attempts exhausted; fall back to partitioning
     return _try_partition(unr, model, props, init_expr, final_expr, cfg,
-                          cache, stats, depth, out.graph)
+                          cache, stats, out.graph)
 
 
 def _try_partition(unr: Unrolling, model: Model, props: list[Property],
                    init_expr: Expr, final_expr: Expr, cfg: EngineConfig,
-                   cache: WeightCache, stats: Stats, depth: int,
+                   cache: WeightCache, stats: Stats,
                    g: ReachGraph) -> ChainResult:
-    if not cfg.allow_partition or depth <= 0 or len(props) <= 1:
+    """Split the property set into the fewest classes that hold no
+    conflicting pair (two properties neither of which reaches the other
+    within the bound) and chain each class on its own.  Without a
+    conflicting pair there is nothing to split, no single chain covers
+    the set, and the run fails here.  Every class of a split is strictly
+    smaller than the set, so the recursion ends."""
+    if not cfg.allow_partition or len(props) <= 1:
         return ChainResult([], FAILED, "no single chain covers the property set",
                            graph=g)
     # the partition needs the complete pairwise picture up to the bound
@@ -408,17 +352,16 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
                                f"'{g.vertices[v].name}' within the bound", graph=g)
     conflicts = [(a, b) for i, a in enumerate(prop_idxs) for b in prop_idxs[i + 1:]
                  if not (closed.has(a, b) or closed.has(b, a))]
+    if not conflicts:
+        return ChainResult([], FAILED, "no single chain covers the property set",
+                           graph=g)
     classes = partition_vertex_sets(prop_idxs, conflicts)
     stats.partitions = max(stats.partitions, len(classes))
-    if len(classes) <= 1 and conflicts:
-        return ChainResult([], FAILED, "partitioning failed to split the conflicts",
-                           graph=g)
     chains: list[TestChain] = []
     name_of = {v.idx: v.name for v in g.vertices}
     for cls in classes:
         sub = [p for p in props if p.name in {name_of[i] for i in cls}]
-        res = _generate(unr, model, sub, init_expr, final_expr, cfg, cache,
-                        stats, depth - 1)
+        res = _generate(unr, model, sub, init_expr, final_expr, cfg, cache, stats)
         if not res.chains:
             return ChainResult([], FAILED,
                                f"partition class {sorted(p.name for p in sub)} "

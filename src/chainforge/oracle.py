@@ -51,7 +51,7 @@ def oracle_min_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
         raise OracleLimit("product space exceeds the node limit")
     full = (1 << nprops) - 1
     final_set = set(space.where(final_expr))
-    start = [(si, 0) for si in space.where(model.init_expr())]
+    start = [(si, 0) for si in space.where(init_expr)]
     dist = {node: 0 for node in start}
     q = deque(start)
     for (si, mask) in start:
@@ -95,7 +95,7 @@ def pair_min_weights(model: Model, props, init_expr: Expr, final_expr: Expr,
     space = _space(model, node_limit)
     names = ["I"] + [p.name for p in props] + ["F"]
     final_set = set(space.where(final_expr))
-    init_set = set(space.where(model.init_expr()))
+    init_set = set(space.where(init_expr))
     triggers = [set(space.triggered(p.assumption)) for p in props]
     n_in = len(space.inputs)
 

@@ -183,6 +183,36 @@ def test_partition_unreachable_final_reports_vertex():
     assert "unreachable" in res.reason
 
 
+def test_partition_yields_fewest_chains_each_property_once():
+    """Conflicting pairs (neither reaches the other): p1 with every other
+    property, p0-p4 and p2-p3.  Three classes suffice, chains of 2, 3 and
+    3 steps, and no property is chained twice."""
+    table = [[1, 2, 3], [4, 5, 4], [4, 5, 4], [3, 3, 3], [4, 4, 4], [5, 5, 5]]
+    m = table_model("fewest", table)
+    props = [Property(f"p{i}", state_eq(m, s), TRUE)
+             for i, s in enumerate((1, 3, 4, 5, 2))]
+    res = generate_chain(m, props, state_eq(m, 0), TRUE, EngineConfig(k_max=8))
+    assert res.status == MULTI
+    assert len(res.chains) == 3
+    assert res.total_length == 8
+    for c in res.chains:
+        _check_chain(m, props, TRUE, c)
+    names = sorted(n for c in res.chains for n in c.covers)
+    assert names == sorted(p.name for p in props)
+
+
+def test_partition_stops_on_a_conflict_free_unchainable_set():
+    """Every pair reaches each other in some direction, yet no single
+    chain covers both properties: there is nothing to split, so the run
+    fails at once instead of retrying the same set."""
+    gen = random_model(287402630, n_states=13, n_inputs=2, n_props=2,
+                       multi_state=True)
+    res = generate_chain(gen.model, gen.props, gen.init_expr, gen.final_expr,
+                         EngineConfig(k_max=6))
+    assert res.status == FAILED
+    assert res.reason == "no single chain covers the property set"
+
+
 def test_partition_vertex_sets_no_conflicts():
     assert partition_vertex_sets([1, 2, 3], []) == [{1, 2, 3}]
 
@@ -214,8 +244,8 @@ def test_partition_vertex_sets_random_validity():
         for s in out:
             for c in bad:
                 assert not (c <= s), (vertices, conflicts, out)
-        # near-minimal: within one class of the true optimum
-        assert len(out) <= chromatic_number(vertices, conflicts) + 1, \
+        assert sum(map(len, out)) == n, (vertices, conflicts, out)  # disjoint
+        assert len(out) == chromatic_number(vertices, conflicts), \
             (vertices, conflicts, out)
 
 

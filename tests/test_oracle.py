@@ -28,6 +28,17 @@ def test_oracle_none_when_no_chain():
     assert oracle_min_chain(m, [p], state_eq(m, 0), state_eq(m, 0)) is None
 
 
+def test_oracle_starts_from_the_given_init_set():
+    """Both references start from `init_expr`, not the model's initial
+    values: from s == 1 the cycle 0 -> 1 -> 2 -> 0 covers state 2 and is
+    back in s == 1 after 3 steps, where s == 0 would need 4."""
+    m = table_model("line", [[1], [2], [0]])
+    p = Property("p", state_eq(m, 2), TRUE)
+    one = state_eq(m, 1)
+    assert oracle_min_chain(m, [p], one, one) == 3
+    assert pair_min_weights(m, [p], one, one)[("I", "p")] == 1
+
+
 def test_oracle_node_limit():
     m = table_model("tiny", [[0, 0]])
     with pytest.raises(OracleLimit):

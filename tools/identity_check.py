@@ -10,12 +10,12 @@ unchanged.
 The instances are the 40 of each perfbench workload (ladder, multi,
 clusters) for workload seeds 1 and 2: 240 in all, generated by the
 checkout's own `perfbench/workloads.py`, which is imported and not
-changed.  Per instance the JSON holds the result status, every chain's
-inputs, the engine `Stats` without `wall_time_s`, the result graph's
-`k_stop` and `named_edges()` (the abstraction the chain was planned on),
-for the first solver its variable count, clause count, conflicts,
-solves and a SHA-1 of its clause list (learnt clauses included), and the
-explicit-state references `oracle_min_chain` and `pair_min_weights` on
+changed.  Per instance the JSON holds the result status and reason,
+every chain's inputs, the engine `Stats` without `wall_time_s`, the
+result graph's `k_stop` and `named_edges()` (the abstraction the chain
+was planned on), for the first solver its variable count, clause count,
+conflicts, solves and a SHA-1 of its clause list (learnt clauses
+included), and the explicit-state references `oracle_min_chain` and `pair_min_weights` on
 the instance's full property set.
 
 `--compare` lists the instances whose records differ and exits 1 if any
@@ -71,6 +71,7 @@ def run_instance(dsl, engine, oracle, sat, inst) -> dict:
     g = res.graph
     return {
         "status": res.status,
+        "reason": res.reason,
         "chains": [list(c.inputs) for c in res.chains],
         "stats": stats,
         "graph": None if g is None else {
