@@ -164,14 +164,15 @@ def _pin_lits(unr: Unrolling, pin: Pin, k: int, with_psi: bool) -> list[int]:
     return lits
 
 
-def _witnesses_pair(src: Pin, dst: Pin, k: int, trace, inputs_ext) -> bool:
-    """Concrete check mirroring the k-reach query for one pair."""
-    s0, i0 = trace[0], inputs_ext[0]
+def _witnesses_pair(src: Pin, dst: Pin, k: int, trace, inputs) -> bool:
+    """Concrete check mirroring the k-reach query for one pair, on a run
+    with one input per state."""
+    s0, i0 = trace[0], inputs[0]
     if not eval_expr(src.phi, s0, i0):
         return False
     if src.psi is not None and not eval_expr(src.psi, s0, i0, trace[1]):
         return False
-    sk, ik = trace[k], inputs_ext[k]
+    sk, ik = trace[k], inputs[k]
     if not eval_expr(dst.phi, sk, ik):
         return False
     if k == 0 and dst.psi is not None and not eval_expr(dst.psi, sk, ik, trace[1]):
@@ -179,9 +180,9 @@ def _witnesses_pair(src: Pin, dst: Pin, k: int, trace, inputs_ext) -> bool:
     return True
 
 
-def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> dict:
+def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
     """Which of `pairs` (key -> (src Pin, dst Pin)) are witnessed by some
-    exactly-k-step run?  Returns key -> (trace, inputs).
+    exactly-k-step run?  Returns the set of their keys.
 
     Each pair gets a fresh selector that implies its pins.  One witness
     query asks, under a fresh guard, for any selector of the pairs still
@@ -190,10 +191,10 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> dict:
     their clauses are satisfied at level 0 and later solves never
     propagate them."""
     if not pairs:
-        return {}
+        return set()
     depth = max(k, 1)
     unr.ensure(depth)
-    found: dict = {}
+    found: set = set()
     remaining = dict(pairs)
     sel: dict = {}
     try:
@@ -212,14 +213,14 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> dict:
                 raise sat.SolverLimit("k-reach query aborted")
             if res.status == sat.UNSAT:
                 break
-            trace, _ = unr.decode_run(res.model, depth)
-            inputs_ext = [unr.decode_input(res.model, j) for j in range(depth + 1)]
+            trace = [unr.decode_state(res.model, j) for j in range(depth + 1)]
+            inputs = [unr.decode_input(res.model, j) for j in range(depth + 1)]
             hits = [key for key, (src, dst) in remaining.items()
-                    if _witnesses_pair(src, dst, k, trace, inputs_ext)]
+                    if _witnesses_pair(src, dst, k, trace, inputs)]
             if not hits:
                 raise BmcError("k-reach witness matched no pending pair")
+            found.update(hits)
             for key in hits:
-                found[key] = (trace[:k + 1], inputs_ext[:k + 1])
                 del remaining[key]
     finally:
         for s in sel.values():
@@ -235,7 +236,7 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
     Feasible: returns the decoded input sequence (length = sum of
     weights) and trace.  Infeasible: returns the smallest contiguous
     vertex range covering the unsat core, widened to at least three
-    vertices."""
+    vertices; a backend that gives no core blames the whole path."""
     if len(pins) != len(weights) + 1:
         raise ValueError("need exactly one weight per consecutive vertex pair")
     offsets = [0]
@@ -261,7 +262,9 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
     if res.status == sat.SAT:
         trace, inputs = unr.decode_run(res.model, total)
         return PathCheck(True, inputs=inputs, trace=trace)
-    core = set(res.core or ())
+    if res.core is None:
+        return PathCheck(False, failed_lo=0, failed_hi=len(pins) - 1)
+    core = set(res.core)
     idxs = [i for i, t in enumerate(tags) if t in core]
     if not idxs:
         raise BmcError("path query unsatisfiable without any pinned vertex; "

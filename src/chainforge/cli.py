@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .dsl import parse_model, parse_properties, parse_state_set
 from .engine import EngineConfig, FAILED, TimeoutAbort, ChainResult, generate_chain
-from .model import Model, SortError, TestChain, replay
+from .model import Model, SortError, TestChain, eval_expr, replay
 from .oracle import OracleLimit, oracle_min_chain, random_baseline
 from .sat import SolverLimit
 
@@ -135,7 +135,7 @@ def cmd_generate(args) -> int:
             return EXIT_PARSE
 
     if args.replay:
-        return _do_replay(args, model, props, final_expr)
+        return _do_replay(args, model, props, init_expr, final_expr)
 
     deadline = time.monotonic() + args.timeout if args.timeout else None
     cfg = EngineConfig(k_max=args.k_max, atsp=args.atsp,
@@ -167,14 +167,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK if result.chains else EXIT_NO_CHAIN
 
 
-def _do_replay(args, model: Model, props, final_expr) -> int:
+def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
+    """Replay each chain of a report from its recorded start state, which
+    must lie in the start-state set."""
     data = json.loads(Path(args.replay).read_text())
     ok = True
     for ci, chain in enumerate(data.get("chains", [])):
-        report = replay(model, props, final_expr, chain["inputs"])
-        same_trace = [dict(s) for s in report.trace] == chain.get("trace")
-        same_covers = report.covers == {k: v for k, v in chain.get("covers", {}).items()}
-        status = "ok" if (report.ok and same_trace and same_covers) else "MISMATCH"
+        start = chain["trace"][0]
+        report = replay(model, props, final_expr, chain["inputs"], start=start)
+        same_trace = [dict(s) for s in report.trace] == chain["trace"]
+        same_covers = report.covers == chain.get("covers", {})
+        status = ("ok" if eval_expr(init_expr, start) and report.ok and same_trace
+                  and same_covers else "MISMATCH")
         if status != "ok":
             ok = False
         print(f"chain {ci + 1}: replay {status} "

@@ -13,10 +13,10 @@ from typing import Callable, Optional
 
 from . import sat
 from .bmc import Pin, PathCheck, Unrolling, check_path
-from .model import (BOOL, BinOp, Const, Expr, Model, Not, Property, SPACE_NEXT,
-                    SPACE_STATE, SPACE_INPUT, SortError, StateSpace, TestChain,
-                    check_spaces, conj, covers, disj, reachable_states,
-                    run_trace, sort_of)
+from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Not, Property,
+                    SPACE_NEXT, SPACE_STATE, SPACE_INPUT, SortError, StateSpace,
+                    TestChain, check_spaces, conj, disj, reachable_states,
+                    replay, sort_of)
 from .optimizer import instance_from_closure, solve_atsp, tour_to_vertex_path
 from .reachgraph import (PROP, ReachGraph, WeightCache, build_reach_graph,
                          expand_path, get_covering_path, transitive_closure)
@@ -25,6 +25,11 @@ MINIMAL = "minimal-certified"
 MINIMISED = "minimised"
 MULTI = "multi-chain"
 FAILED = "failed"
+
+#: Why partitioning fails when it has nothing to split (it is disabled,
+#: there is one property, or no pair conflicts) and no single chain
+#: covers the set.
+NO_SINGLE_CHAIN = "no single chain covers the property set"
 
 #: Fixed limits of the concretisation loop: other arrival states repair
 #: asks a dead-end edge's predecessor for, vertex splits per chain, and
@@ -120,19 +125,17 @@ def _check_deadline(cfg: EngineConfig) -> None:
 # Repair
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RepairOutcome:
-    success: bool
-    increments: int = 0
-    triple: Optional[tuple[Optional[int], int, int]] = None  # (pred, mid, succ)
-
-
 def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
             ws: list[int], lo: int, hi: int, cfg: EngineConfig,
-            stats: Stats) -> RepairOutcome:
+            stats: Stats) -> Optional[int]:
     """Stretch the failed subpath edge by edge, anchored at the concrete
     trigger state each successful check arrives at; on a dead end, retry
-    the previous edge with a different witness before giving up."""
+    the previous edge with a different witness before giving up.
+
+    Returns None when the range went through with some edge stretched,
+    so the path is worth checking again.  Otherwise returns the position
+    in `vs` of the vertex to split: the dead-end edge's source, or the
+    range's second vertex when every edge went through unstretched."""
 
     def edge_check(j: int, sigma, w: int, blocked=()) -> Optional[dict]:
         """Edge j in exactly w steps from sigma (any trigger state when
@@ -154,7 +157,6 @@ def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
     sigma_of: dict[int, Optional[dict]] = {}
     seen: dict[int, list[dict]] = {}
     retries: dict[int, int] = {}
-    base = {j: ws[j] for j in range(lo, hi)}
     increments = 0
     j = lo
     while j < hi:
@@ -180,18 +182,17 @@ def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
         # dead end: ask the previous edge for a different arrival state
         if j > lo and retries.get(j, 0) < SIGMA_RETRIES:
             retries[j] = retries.get(j, 0) + 1
-            ws[j] = base[j]
             prev = j - 1
             tau2 = edge_check(prev, sigma_of[prev], ws[prev], seen[prev])
             if tau2 is not None:
                 seen[prev].append(tau2)
                 sigma = tau2
                 continue
-        pred = vs[j - 1] if j > 0 else None
-        stats.repair_increments += increments
-        return RepairOutcome(False, increments, (pred, vs[j], vs[j + 1]))
+        break
     stats.repair_increments += increments
-    return RepairOutcome(True, increments)
+    if j < hi:
+        return j
+    return None if increments else lo + 1
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +294,6 @@ def _generate(unr: Unrolling, model: Model, props: list[Property],
     out = build_reach_graph(unr, props, init_expr, final_expr, cfg.k_max,
                             exhaust=cfg.exhaust_k, cache=cache)
     stats.k_reached = max(stats.k_reached, out.graph.k_stop)
-    if out.status == "bound-exceeded":
-        # some pairs may simply be unreachable; a partition can still work
-        res = _try_partition(unr, model, props, init_expr, final_expr, cfg,
-                             cache, stats, out.graph)
-        if res.chains:
-            return res
-        detail = f" ({res.reason})" if res.reason and "single chain" not in res.reason else ""
-        return ChainResult([], FAILED,
-                           f"no chain found for given bound {cfg.k_max}{detail}",
-                           graph=res.graph or out.graph)
 
     def rebuild_complete() -> ReachGraph:
         # refinement needs the full pairwise picture, not just the edges
@@ -314,11 +305,16 @@ def _generate(unr: Unrolling, model: Model, props: list[Property],
 
     single = _single_chain(unr, model, props, out.graph, cfg, stats,
                            rebuild=None if cfg.exhaust_k else rebuild_complete)
-    if isinstance(single, ChainResult):
+    if single is not None:
         return single
-    # single-chain attempts exhausted; fall back to partitioning
-    return _try_partition(unr, model, props, init_expr, final_expr, cfg,
-                          cache, stats, out.graph)
+    res = _try_partition(unr, model, props, init_expr, final_expr, cfg,
+                         cache, stats, out.graph)
+    if res.chains or out.status != "bound-exceeded":
+        return res
+    detail = "" if res.reason == NO_SINGLE_CHAIN else f" ({res.reason})"
+    return ChainResult([], FAILED,
+                       f"no chain found for given bound {cfg.k_max}{detail}",
+                       graph=res.graph)
 
 
 def _try_partition(unr: Unrolling, model: Model, props: list[Property],
@@ -332,8 +328,7 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
     the set, and the run fails here.  Every class of a split is strictly
     smaller than the set, so the recursion ends."""
     if not cfg.allow_partition or len(props) <= 1:
-        return ChainResult([], FAILED, "no single chain covers the property set",
-                           graph=g)
+        return ChainResult([], FAILED, NO_SINGLE_CHAIN, graph=g)
     # the partition needs the complete pairwise picture up to the bound
     full = build_reach_graph(unr, props, init_expr, final_expr, cfg.k_max,
                              exhaust=True, cache=cache)
@@ -353,8 +348,7 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
     conflicts = [(a, b) for i, a in enumerate(prop_idxs) for b in prop_idxs[i + 1:]
                  if not (closed.has(a, b) or closed.has(b, a))]
     if not conflicts:
-        return ChainResult([], FAILED, "no single chain covers the property set",
-                           graph=g)
+        return ChainResult([], FAILED, NO_SINGLE_CHAIN, graph=g)
     classes = partition_vertex_sets(prop_idxs, conflicts)
     stats.partitions = max(stats.partitions, len(classes))
     chains: list[TestChain] = []
@@ -372,52 +366,43 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
 
 def _single_chain(unr: Unrolling, model: Model, props: list[Property],
                   g: ReachGraph, cfg: EngineConfig, stats: Stats,
-                  rebuild=None):
-    """Optimise + concretise + repair/refine loop.  Returns a ChainResult
-    on success, or None when no covering path survives refinement."""
-    planned = _plan(g, cfg, stats)
-    if planned is None:
-        return None
-    vs, ws = planned
-    if stats.initial_abstract_path is None:
-        stats.initial_abstract_path = [g.vertices[v].name for v in vs]
-        stats.initial_abstract_weights = list(ws)
+                  rebuild=None) -> Optional[ChainResult]:
+    """Plan, check, and escalate on failure: check the repaired path
+    again; else rebuild the complete graph once, if a rebuild is pending;
+    else split the vertex repair names and plan again.  None when no
+    covering path exists or survives refinement."""
+    vs: Optional[list[int]] = None
     splits = 0
     for _round in range(MAX_ROUNDS):
         _check_deadline(cfg)
+        if vs is None:
+            planned = _plan(g, cfg, stats)
+            if planned is None:
+                return None
+            vs, ws = planned
+            if stats.initial_abstract_path is None:
+                stats.initial_abstract_path = [g.vertices[v].name for v in vs]
+                stats.initial_abstract_weights = list(ws)
         pins = [g.vertices[v].pin() for v in vs]
         chk = check_path(unr, pins, ws)
         if chk.feasible:
-            return _finish(unr, model, props, g, vs, ws, chk, cfg, stats)
+            return _finish(model, props, g, vs, ws, chk, stats)
         if stats.first_failed_path is None:
             stats.first_failed_path = [g.vertices[v].name
                                        for v in vs[chk.failed_lo:chk.failed_hi + 1]]
-        rep = _repair(unr, model, g, vs, ws, chk.failed_lo, chk.failed_hi, cfg, stats)
-        if rep.success and rep.increments > 0:
+        m = _repair(unr, model, g, vs, ws, chk.failed_lo, chk.failed_hi, cfg, stats)
+        if m is None:
             continue
         if rebuild is not None:
-            g = rebuild()
-            rebuild = None
+            g, rebuild = rebuild(), None
+        elif (not 0 < m < len(vs) - 1 or g.vertices[vs[m]].kind != PROP
+              or splits >= MAX_SPLITS):
+            return None
         else:
-            triple = rep.triple
-            if rep.success and rep.increments == 0:
-                # vacuous repair: force refinement on the failed range's middle
-                if chk.failed_hi - chk.failed_lo < 2:
-                    return None
-                triple = (vs[chk.failed_lo], vs[chk.failed_lo + 1],
-                          vs[chk.failed_lo + 2])
-            pred, mid, succ = triple
-            if pred is None or g.vertices[mid].kind != PROP:
-                return None
-            if splits >= MAX_SPLITS:
-                return None
-            refine(g, pred, mid, succ)
+            refine(g, vs[m - 1], vs[m], vs[m + 1])
             splits += 1
             stats.refinement_splits += 1
-        planned = _plan(g, cfg, stats)
-        if planned is None:
-            return None
-        vs, ws = planned
+        vs = None
     return None
 
 
@@ -438,22 +423,17 @@ def _plan(g: ReachGraph, cfg: EngineConfig, stats: Stats):
     return expand_path(closed, path)
 
 
-def _finish(unr: Unrolling, model: Model, props, g: ReachGraph, vs, ws,
-            chk: PathCheck, cfg: EngineConfig, stats: Stats) -> ChainResult:
-    trace, inputs = chk.trace, chk.inputs
-    # ground-truth the decoded run and recover cover positions from it
-    if run_trace(model, trace[0], inputs) != [dict(s) for s in trace]:
+def _finish(model: Model, props, g: ReachGraph, vs, ws, chk: PathCheck,
+            stats: Stats) -> ChainResult:
+    # ground-truth the decoded run and recover cover positions from it;
+    # the final pin was part of the solved path
+    rep = replay(model, props, TRUE, chk.inputs, start=chk.trace[0])
+    if list(rep.trace) != chk.trace:
         raise RuntimeError("decoded trace does not replay; encoder and "
                            "interpreter disagree")
-    covered: dict[str, int] = {}
-    for k in range(len(inputs)):
-        for p in props:
-            if p.name not in covered and covers(p, trace[k], inputs[k], trace[k + 1]):
-                covered[p.name] = k
-    missing = [p.name for p in props if p.name not in covered]
-    if missing:
-        raise RuntimeError(f"concretised chain does not cover {missing}")
-    chain = TestChain(tuple(inputs), tuple(trace), covered)
+    if rep.uncovered:
+        raise RuntimeError(f"concretised chain does not cover {list(rep.uncovered)}")
+    chain = TestChain(tuple(chk.inputs), rep.trace, rep.covers)
     stats.abstract_path = [g.vertices[v].name for v in vs]
     stats.abstract_weights = list(ws)
     stats.path_vertex_distinct = len(set(vs)) == len(vs)

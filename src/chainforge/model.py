@@ -559,10 +559,12 @@ class ReplayReport:
     final_ok: bool
 
 
-def replay(m: Model, props, final: Expr, inputs) -> ReplayReport:
-    """Simulate the inputs from the deterministic initial state, recording
-    where each property's trigger fires and checking its assertion there."""
-    s0 = m.initial_state()
+def replay(m: Model, props, final: Expr, inputs,
+           start: Optional[StateVec] = None) -> ReplayReport:
+    """Simulate the inputs from `start` (default: the deterministic
+    initial state), recording where each property's trigger fires and
+    checking its assertion there."""
+    s0 = m.initial_state() if start is None else start
     if s0 is None:
         raise EvalError("replay requires a model with deterministic initial values")
     trace = [s0]

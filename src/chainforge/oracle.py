@@ -262,19 +262,21 @@ class BaselineResult:
 
 def random_baseline(model: Model, props, init_expr: Expr, final_expr: Expr,
                     budget: int, seed: int, max_walk: int = 64) -> BaselineResult:
-    """Random walks restarted from the initial state; walks that return to
-    the final set become candidate test cases, and a greedy weighted set
-    cover picks a covering subset minimising total input length."""
+    """Random walks restarted from a start state (drawn at random when
+    `init_expr` holds in more than one); walks that return to the final
+    set become candidate test cases, and a greedy weighted set cover picks
+    a covering subset minimising total input length."""
     rng = random.Random(seed)
     res = BaselineResult()
-    s0 = model.initial_state()
-    if s0 is None:
-        raise EvalError("baseline needs deterministic initial values")
-    legal = model.legal_inputs()
+    space = StateSpace(model)
+    starts = [space.states[i] for i in space.where(init_expr)]
+    if not starts:
+        raise EvalError("baseline needs a start state")
+    legal = space.inputs
     want = {p.name for p in props}
     steps = 0
     while steps < budget:
-        s = dict(s0)
+        s = dict(rng.choice(starts) if len(starts) > 1 else starts[0])
         walk: list[dict] = []
         covered: set[str] = set()
         for _ in range(max_walk):

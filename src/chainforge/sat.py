@@ -446,10 +446,10 @@ def read_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
 class ExternalSolver:
     """Backend that round-trips DIMACS files through an external solver
-    process (minisat-style interface: `solver in.cnf out`).  Assumptions
-    become unit clauses; cores are recovered by deletion over the
-    assumption literals, so any stock solver can be substituted.  Only the
-    deadline bounds it; it has no conflict budget."""
+    process (minisat-style interface: `solver in.cnf out`), one launch per
+    solve, so any stock solver can be substituted.  Assumptions become
+    unit clauses, and an UNSAT verdict carries no core (`core` is None).
+    Only the deadline bounds it; it has no conflict budget."""
 
     def __init__(self, command: str, deadline: Optional[float] = None):
         self.command = command
@@ -467,7 +467,7 @@ class ExternalSolver:
     def add_clause(self, lits: Sequence[int]) -> None:
         self.clauses.append(list(lits))
 
-    def _run_once(self, assumptions: Sequence[int]) -> SolveResult:
+    def solve(self, assumptions: Sequence[int] = ()) -> SolveResult:
         self.stats_solves += 1
         cnf = self.clauses + [[a] for a in assumptions]
         text = write_dimacs(self.nvars, cnf)
@@ -513,22 +513,6 @@ class ExternalSolver:
             if v != 0 and abs(v) <= self.nvars:
                 model[abs(v)] = v > 0
         return SolveResult(SAT, model=model)
-
-    def solve(self, assumptions: Sequence[int] = ()) -> SolveResult:
-        res = self._run_once(assumptions)
-        if res.status != UNSAT:
-            return res
-        # reduce the assumption set to a core by deletion
-        core = list(assumptions)
-        i = 0
-        while i < len(core):
-            trial = core[:i] + core[i + 1:]
-            if self._run_once(trial).status == UNSAT:
-                core = trial
-            else:
-                i += 1
-        res.core = core
-        return res
 
     def solve_with_core_shrink(self, assumptions: Sequence[int] = ()) -> SolveResult:
         return self.solve(assumptions)

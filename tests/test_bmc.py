@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from chainforge.bmc import Pin, Unrolling, check_path, get_kreach_edges
 from chainforge.dsl import parse_properties
 from chainforge.model import eval_expr, run_trace
 from chainforge.oracle import pair_min_weights, random_model
+from chainforge.sat import ExternalSolver
 from chainforge.reachgraph import (ReachGraph, build_reach_graph, make_vertices,
                                    target_pairs)
 
@@ -187,3 +190,15 @@ def test_failed_path_is_at_least_three_vertices(cruise_model, cruise_final,
     pins = [v.pin() for v in vs]
     res = check_path(unr, pins, [0, 1, 2])
     assert res.failed_hi - res.failed_lo >= 2
+
+
+def test_check_path_blames_the_whole_path_without_a_core(cruise_model, cruise_final,
+                                                         broken_chain_props):
+    """The external backend gives no unsat core, so the failed range is
+    the whole path rather than the core's <I, p1, p2>."""
+    stub = Path(__file__).parent / "external_stub.py"
+    unr = Unrolling(cruise_model, ExternalSolver(f"{sys.executable} {stub}"))
+    vs = make_vertices(broken_chain_props, cruise_final, cruise_final)
+    res = check_path(unr, [v.pin() for v in vs], [0, 1, 2])
+    assert not res.feasible
+    assert (res.failed_lo, res.failed_hi) == (0, 3)

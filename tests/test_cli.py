@@ -145,3 +145,24 @@ def test_bench_reports_unparsable_init(tmp_path, capsys):
     assert "undeclared name 'NOPE'" in captured.err
     rows = [l for l in captured.out.splitlines() if l.startswith("cruise_badinit")]
     assert len(rows) == 1 and rows[0].rstrip().endswith("parse error")
+
+
+def test_replay_starts_from_the_recorded_start_state(tmp_path, capsys):
+    """A chain generated from a non-default --init replays from its own
+    first state, which must lie in the start-state set."""
+    start = "mode == OFF && speed == 1 && !enable"
+    report = tmp_path / "report.json"
+    files = (str(CRUISE / "model.rsys"), str(CRUISE / "props.props"))
+    assert run_cli("generate", *files, "--init", start, "--final", FINAL,
+                   "--format", "json", "--output", str(report)) == 0
+    data = json.loads(report.read_text())
+    assert data["status"] == "minimal-certified" and data["summary"]["len"] == 8
+    capsys.readouterr()
+    code = run_cli("generate", *files, "--init", start, "--final", FINAL,
+                   "--replay", str(report))
+    assert code == 0
+    assert "chain 1: replay ok" in capsys.readouterr().out
+    # the default start set (the model's init) does not hold the chain's start
+    code = run_cli("generate", *files, "--final", FINAL, "--replay", str(report))
+    assert code == 2
+    assert "chain 1: replay MISMATCH" in capsys.readouterr().out

@@ -42,7 +42,8 @@ def test_cruise_bound_exceeded(cruise_model, cruise_props, cruise_final):
     res = generate_chain(cruise_model, cruise_props, cruise_final, cruise_final,
                          EngineConfig(k_max=1))
     assert res.status == FAILED
-    assert "bound 1" in res.reason
+    assert res.reason == ("no chain found for given bound 1 ('p1' is "
+                          "unreachable from the start states within the bound)")
 
 
 def test_repair_example(cruise_model, broken_chain_props, cruise_final):
@@ -181,6 +182,18 @@ def test_partition_unreachable_final_reports_vertex():
     res = generate_chain(model, props, i_expr, i_expr, EngineConfig(k_max=8))
     assert res.status == FAILED
     assert "unreachable" in res.reason
+
+
+def test_bound_exceeded_reasons_name_the_partition_failure():
+    """A build that finds no covering path fails with the bound, plus the
+    partitioning step's reason unless that is only "no single chain"."""
+    model, props, i_expr = _two_cluster_scenario()
+    res = generate_chain(model, props, i_expr, TRUE,
+                         EngineConfig(k_max=8, allow_partition=False))
+    assert res.reason == "no chain found for given bound 8"
+    res = generate_chain(model, props, i_expr, i_expr, EngineConfig(k_max=8))
+    assert res.reason == ("no chain found for given bound 8 (the final states "
+                          "are unreachable from 'pa' within the bound)")
 
 
 def test_partition_yields_fewest_chains_each_property_once():

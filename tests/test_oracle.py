@@ -159,3 +159,14 @@ def test_baseline_deterministic(cruise_model, cruise_props, cruise_final):
                          budget=3000, seed=5)
     assert r1.total_length == r2.total_length
     assert [c.inputs for c in r1.cases] == [c.inputs for c in r2.cases]
+
+
+def test_baseline_walks_start_in_the_start_set():
+    """On the 3-state cycle 0 -> 1 -> 2 -> 0 with the start set {1}, a walk
+    covers p (leaving 2) and is back in 1 after 3 steps; a walk from the
+    model's own initial state 0 would need 4."""
+    m = table_model("line", [[1], [2], [0]])
+    props = [Property("p", state_eq(m, 2), TRUE)]
+    start = state_eq(m, 1)
+    res = random_baseline(m, props, start, start, budget=50, seed=0)
+    assert res.total_length == 3 == oracle_min_chain(m, props, start, start)

@@ -233,11 +233,12 @@ def test_external_backend_sat_unsat_and_core():
     assert res.model[x] or res.model[y]
     res = ext.solve([-x, -y])
     assert res.status == "unsat"
-    assert set(res.core) == {-x, -y}
+    assert res.core is None          # core-less: one launch per solve
     ext.add_clause([-x])
     res = ext.solve([-y])
     assert res.status == "unsat"
-    assert res.core == [-y]
+    assert res.core is None
+    assert ext.stats_solves == 3
 
 
 def test_make_solver_env_selection(monkeypatch):

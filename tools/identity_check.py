@@ -11,7 +11,7 @@ The instances are the 40 of each perfbench workload (ladder, multi,
 clusters) for workload seeds 1 and 2: 240 in all, generated by the
 checkout's own `perfbench/workloads.py`, which is imported and not
 changed.  Per instance the JSON holds the result status and reason,
-every chain's inputs, the engine `Stats` without `wall_time_s`, the
+every chain's inputs and cover positions, the engine `Stats` without `wall_time_s`, the
 result graph's `k_stop` and `named_edges()` (the abstraction the chain
 was planned on), for the first solver its variable count, clause count,
 conflicts, solves and a SHA-1 of its clause list (learnt clauses
@@ -73,6 +73,7 @@ def run_instance(dsl, engine, oracle, sat, inst) -> dict:
         "status": res.status,
         "reason": res.reason,
         "chains": [list(c.inputs) for c in res.chains],
+        "covers": [dict(c.covers) for c in res.chains],
         "stats": stats,
         "graph": None if g is None else {
             "k_stop": g.k_stop,
