@@ -8,12 +8,19 @@ fresh guard and selector literals: guards are passed as assumptions, and
 every guard and selector is retired (fixed false at level 0) once its
 query is done, so the clauses it carried are satisfied for good and later
 solves never assign or propagate them.  The only gates a query adds are
-trigger encodings, which `pred_lit` caches for every later query.
+trigger encodings, which `pred_lit` caches for every later query; the
+difference bits of `simple_run_exists` are fixed false with its guard.
+
+`simple_run_exists` bounds depth rather than probing it: it tells the
+k-reach build when deeper queries from a source can find nothing (the
+recurrence diameter as a completeness threshold).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import sat
@@ -57,6 +64,9 @@ class Unrolling:
         self.input_frames: list[dict] = []
         # expr -> (literal per step, whether expr reads the next state)
         self._encoded: dict[Expr, tuple[dict[int, int], bool]] = {}
+        # source pin -> (longest m known to have a simple run, shortest m
+        # known to have none)
+        self.simple_runs: dict[Pin, tuple[int, float]] = {}
         self.stats_solver_calls = 0
         self._add_frame()
 
@@ -138,6 +148,14 @@ class Unrolling:
         if shrink_core:
             return self.solver.solve_with_core_shrink(list(assumptions))
         return self.solver.solve(list(assumptions))
+
+    def state_bits(self, k: int) -> list[int]:
+        """Every literal that encodes the state at step k."""
+        out: list[int] = []
+        for name, _ in self.model.state_vars:
+            enc = self.state_frames[k][name]
+            out.extend((enc,) if isinstance(enc, int) else enc.bits)
+        return out
 
     def decode_state(self, model_bits, k: int) -> dict:
         return {n: decode_var(self.state_frames[k][n], model_bits, d)
@@ -226,6 +244,56 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
         for s in sel.values():
             unr.retire(s)
     return found
+
+
+def simple_run_exists(unr: Unrolling, src: Pin, m: int) -> bool:
+    """Does some run cover `src` at step 0 (trigger and assertion, as the
+    k-reach source pin) and then visit pairwise-distinct states
+    s_1..s_m?
+
+    Cutting a loop out of a run keeps its covering step and its end
+    state, so a shortest witness of any pair from `src` has distinct
+    states after step 0.  When the answer is no, every pair from `src`
+    without a witness of at most m - 1 steps has none at any depth.
+
+    Each pair of steps gets one difference bit per state bit, which
+    implies the two bits differ; under a fresh guard, some difference
+    bit of every pair holds.  The guard and the difference bits are fixed
+    false at level 0 afterwards, so nothing of the query stays live.
+    Answers are remembered per source: a run for m has one for every
+    smaller m, and none for m means none for any larger m."""
+    known, refuted = unr.simple_runs.get(src, (0, math.inf))
+    if m <= known:
+        return True
+    if m >= refuted:
+        return False
+    unr.ensure(m)
+    g = unr.guard()
+    diffs: list[int] = []
+    try:
+        for lit in _pin_lits(unr, src, 0, with_psi=True):
+            unr.pin(g, lit)
+        frames = [unr.state_bits(j) for j in range(1, m + 1)]
+        for fi, fj in combinations(frames, 2):
+            pair = []
+            for x, y in zip(fi, fj):
+                d = unr.guard()
+                unr.pin(g, -d, x, y)
+                unr.pin(g, -d, -x, -y)
+                pair.append(d)
+            unr.pin(g, *pair)
+            diffs += pair
+        res = unr.solve([g])
+    finally:
+        for lit in (g, *diffs):
+            unr.retire(lit)
+    if res.status == sat.UNKNOWN:
+        raise sat.SolverLimit("simple-run query aborted")
+    if res.status == sat.SAT:
+        unr.simple_runs[src] = (m, refuted)
+        return True
+    unr.simple_runs[src] = (known, m)
+    return False
 
 
 def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],

@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock limit in seconds (0 = none)")
     gen.add_argument("--output", help="write the report to a file")
     gen.add_argument("--exhaust-k", action="store_true",
-                     help="resolve every pair weight up to k-max")
+                     help="resolve every pair weight up to k-max, or until "
+                          "proved unreachable")
     gen.add_argument("--strengthen-invariant", action="store_true",
                      help="conjoin the exact reachable set (small models)")
     gen.add_argument("--replay", metavar="JSON",

@@ -322,8 +322,8 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
                    cache: WeightCache, stats: Stats,
                    g: ReachGraph) -> ChainResult:
     """Split the property set into the fewest classes that hold no
-    conflicting pair (two properties neither of which reaches the other
-    within the bound) and chain each class on its own.  Without a
+    conflicting pair (two properties with no k-reach weight within the
+    bound in either direction) and chain each class on its own.  Without a
     conflicting pair there is nothing to split, no single chain covers
     the set, and the run fails here.  Every class of a split is strictly
     smaller than the set, so the recursion ends."""
@@ -345,8 +345,10 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
             return ChainResult([], FAILED,
                                f"the final states are unreachable from "
                                f"'{g.vertices[v].name}' within the bound", graph=g)
+    # conflicts come from direct weights: composing two closure edges
+    # through a multi-state trigger may join different states of it
     conflicts = [(a, b) for i, a in enumerate(prop_idxs) for b in prop_idxs[i + 1:]
-                 if not (closed.has(a, b) or closed.has(b, a))]
+                 if (a, b) not in g.weights and (b, a) not in g.weights]
     if not conflicts:
         return ChainResult([], FAILED, NO_SINGLE_CHAIN, graph=g)
     classes = partition_vertex_sets(prop_idxs, conflicts)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bmc import Pin, Unrolling, get_kreach_edges
+from .bmc import Pin, Unrolling, get_kreach_edges, simple_run_exists
 from .model import Expr
 
 INIT = "init"
@@ -136,15 +136,34 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
                       cache: Optional[WeightCache] = None) -> BuildOutcome:
     """Grow the abstraction one depth at a time until a covering path
     exists (or, with exhaust=True, until every pair is resolved), giving
-    each pair the minimal depth at which it is witnessed.  The status is
-    "path" when a covering path exists at the end, else "bound-exceeded";
-    once every pair is resolved a covering path always exists."""
+    each pair the minimal depth at which it is witnessed.
+
+    A source stops deepening once no simple run can reach anything new
+    from it: after a depth k >= 1 that resolved no pair, each source with
+    open pairs is asked whether k + 1 distinct states can follow its
+    covering step (`simple_run_exists`).  If not, its open pairs are
+    unreachable at every depth; they are recorded as checked to k_max
+    and leave the build.  If so, the source is not asked again before
+    depth 2k, so a source with a long simple run costs O(log k_max)
+    queries.
+
+    The status is "path" when a covering path exists at the end, else
+    "bound-exceeded".  Each graph state is closed at most once: the
+    covering-path answer is kept until a depth adds an edge."""
     vertices = make_vertices(props, init_expr, final_expr)
     g = ReachGraph(vertices, final_idx=len(vertices) - 1)
     cache = cache if cache is not None else WeightCache()
     remaining = set(target_pairs(g))
+    next_ask: dict[int, int] = {}
+    covered: Optional[bool] = None
     k = 0
-    while remaining and k <= k_max and (exhaust or not exists_covering_path(g)):
+    while remaining and k <= k_max:
+        if not exhaust:
+            if covered is None:
+                covered = exists_covering_path(g)
+            if covered:
+                break
+        resolved = False
         query: dict[tuple[int, int], tuple[Pin, Pin]] = {}
         for (a, b) in sorted(remaining):
             va, vb = g.vertices[a], g.vertices[b]
@@ -153,6 +172,7 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
                 if cache.weight[key] == k:
                     g.weights[(a, b)] = k
                     remaining.discard((a, b))
+                    resolved = True
                 continue
             if cache.checked_to.get(key, -1) >= k:
                 continue
@@ -171,9 +191,39 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
                     remaining.discard((a, b))
                 else:
                     cache.checked_to[key] = k
+            resolved = resolved or bool(found)
+        if resolved:
+            covered = None
+        elif 0 < k < k_max:
+            _drop_bounded_sources(unr, g, remaining, cache, k, k_max, next_ask)
         k += 1
     g.k_stop = min(max(k - 1, 0), k_max)
-    return BuildOutcome(g, "path" if exists_covering_path(g) else "bound-exceeded")
+    if covered is None:
+        covered = exists_covering_path(g)
+    return BuildOutcome(g, "path" if covered else "bound-exceeded")
+
+
+def _drop_bounded_sources(unr: Unrolling, g: ReachGraph, remaining: set,
+                          cache: WeightCache, k: int, k_max: int,
+                          next_ask: dict[int, int]) -> None:
+    """Ask each source with open pairs (no known weight, not yet checked
+    to k_max), in index order, whether k + 1 distinct states can follow
+    its covering step.  Every open pair has no witness of k steps or
+    fewer, so on a no its open pairs are unreachable at any depth."""
+    open_pairs: dict[int, list[tuple[int, int]]] = {}
+    for (a, b) in sorted(remaining):
+        key = (g.vertices[a].name, g.vertices[b].name)
+        if key not in cache.weight and cache.checked_to.get(key, -1) < k_max:
+            open_pairs.setdefault(a, []).append((a, b))
+    for a, pairs in open_pairs.items():
+        if next_ask.get(a, 0) > k:
+            continue
+        if simple_run_exists(unr, g.vertices[a].pin(), k + 1):
+            next_ask[a] = 2 * k
+            continue
+        for (x, y) in pairs:
+            cache.checked_to[(g.vertices[x].name, g.vertices[y].name)] = k_max
+            remaining.discard((x, y))
 
 
 @dataclass

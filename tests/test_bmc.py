@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from chainforge.bmc import Pin, Unrolling, check_path, get_kreach_edges
+from chainforge import reachgraph
+from chainforge.bmc import (Pin, Unrolling, check_path, get_kreach_edges,
+                            simple_run_exists)
 from chainforge.dsl import parse_properties
-from chainforge.model import eval_expr, run_trace
-from chainforge.oracle import pair_min_weights, random_model
+from chainforge.model import TRUE, BinOp, Property, disj, eval_expr, run_trace
+from chainforge.oracle import (int_const, pair_min_weights, random_model,
+                               state_eq, table_model)
 from chainforge.sat import ExternalSolver
 from chainforge.reachgraph import (ReachGraph, build_reach_graph, make_vertices,
                                    target_pairs)
@@ -202,3 +205,72 @@ def test_check_path_blames_the_whole_path_without_a_core(cruise_model, cruise_fi
     res = check_path(unr, [v.pin() for v in vs], [0, 1, 2])
     assert not res.feasible
     assert (res.failed_lo, res.failed_hi) == (0, 3)
+
+
+def test_simple_run_exists_on_a_cycle():
+    """From state 0 of a 4-cycle the states after it repeat at step 5:
+    four distinct successors exist, five do not.  The refutation is
+    remembered, and the query leaves no auxiliary variable live."""
+    model = table_model("cyc", [[1], [2], [3], [0]])
+    src = Pin(state_eq(model, 0))
+    unr = Unrolling(model)
+    assert [simple_run_exists(unr, src, m) for m in range(1, 7)] == \
+        [True] * 4 + [False] * 2
+    calls = unr.stats_solver_calls
+    assert simple_run_exists(unr, src, 6) is False
+    assert simple_run_exists(unr, src, 5) is False
+    assert simple_run_exists(unr, src, 3) is True
+    assert unr.stats_solver_calls == calls
+    ref = Unrolling(model)
+    ref.ensure(unr.horizon)
+    ref.pred_lit(src.phi, 0)
+    assert _live_vars(unr) <= _live_vars(ref)
+
+
+def _random_table_case(rng):
+    """A random machine (not strongly connected in general) with 2-4
+    properties, some on two states, some with a pinned input."""
+    n, m = rng.randint(3, 10), rng.randint(1, 3)
+    table = [[rng.randrange(n) for _ in range(m)] for _ in range(n)]
+    model = table_model("sweep", table)
+    a_ref = model.input_ref("a")
+    props = []
+    for i in range(rng.randint(2, 4)):
+        states = rng.sample(range(n), 2 if rng.random() < 0.4 else 1)
+        phi = disj(*(state_eq(model, c) for c in states))
+        psi = TRUE
+        if rng.random() < 0.6:
+            v = rng.randrange(m)
+            phi = BinOp("&&", phi, BinOp("==", a_ref, int_const(v)))
+            if len(states) == 1:
+                psi = BinOp("==", model.next_ref("s"), int_const(table[states[0]][v]))
+        props.append(Property(f"p{i}", phi, psi))
+    final = TRUE if rng.random() < 0.5 else state_eq(model, rng.randrange(n))
+    return model, props, state_eq(model, 0), final, rng.choice((6, 12, 20))
+
+
+def test_recurrence_bound_keeps_exhaustive_weights_exact(monkeypatch):
+    """Differential sweep: with sources dropped by the simple-run bound,
+    the exhaustive build still holds exactly the BFS weights up to
+    k_max, and the bound really fires."""
+    bounded = []
+
+    def counting(unr, src, m):
+        out = simple_run_exists(unr, src, m)
+        if not out:
+            bounded.append(src)
+        return out
+
+    monkeypatch.setattr(reachgraph, "simple_run_exists", counting)
+    rng = random.Random(1306)
+    edges = 0
+    for case in range(300):
+        model, props, init, final, k_max = _random_table_case(rng)
+        want = pair_min_weights(model, props, init, final, k_cap=k_max)
+        out = build_reach_graph(Unrolling(model), props, init, final,
+                                k_max=k_max, exhaust=True)
+        got = {(a, b): w for (a, b, w) in out.graph.named_edges()}
+        assert got == want, (case, got, want)
+        edges += len(got)
+    assert edges > 1000
+    assert len(bounded) >= 100

@@ -1,5 +1,6 @@
 import random
 
+from chainforge.dsl import parse_properties
 from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
                                generate_chain, partition_vertex_sets)
 from chainforge.model import Property, TRUE, disj, eval_expr, replay, run_trace
@@ -224,6 +225,63 @@ def test_partition_stops_on_a_conflict_free_unchainable_set():
                          EngineConfig(k_max=6))
     assert res.status == FAILED
     assert res.reason == "no single chain covers the property set"
+
+
+def _props_of(model, text):
+    props, diags = parse_properties(text, model)
+    assert not any(d.severity == "error" for d in diags)
+    return props
+
+
+def test_partition_conflicts_do_not_compose_through_two_state_triggers():
+    """States {1, 2} and {3, 4} are closed clusters, so no run covers
+    both p2 and p3.  p2 -> p1 and p1 -> p3 both have weight 0, through
+    different states of p1; a conflict taken from the closure would miss
+    p2 - p3 and leave nothing to split."""
+    m = table_model("twostate", [[3, 2, 3], [2, 2, 1], [1, 1, 1], [4, 3, 3],
+                                 [3, 3, 3]])
+    props = _props_of(m, """
+        property p0 { assume s == 2 || s == 3; assert true; }
+        property p1 { assume s == 4 || s == 1; assert true; }
+        property p2 { assume s == 4 && a == 2; assert next(s) == 3; }
+        property p3 { assume s == 1 && a == 1; assert next(s) == 2; }
+    """)
+    res = generate_chain(m, props, state_eq(m, 0), TRUE, EngineConfig(k_max=4))
+    assert res.status == MULTI
+    assert [c.length for c in res.chains] == [3, 3]
+    for c in res.chains:
+        _check_chain(m, props, TRUE, c)
+    names = sorted(n for c in res.chains for n in c.covers)
+    assert names == sorted(p.name for p in props)
+
+
+def test_partition_cost_does_not_depend_on_the_bound():
+    """A hub entering three closed 4-state clusters: the cross-cluster
+    pairs are proved unreachable at every depth once no simple run can
+    reach anything new, so k_max 8 and 50 do the same work."""
+    table = [[1, 5, 9],
+             [2, 3, 1], [3, 1, 4], [4, 4, 2], [1, 2, 3],
+             [6, 8, 5], [7, 5, 6], [8, 6, 8], [5, 7, 7],
+             [10, 12, 11], [11, 9, 9], [12, 10, 12], [9, 11, 10]]
+    m = table_model("hub", table)
+    props = _props_of(m, """
+        property p0 { assume s == 2 && a == 1; assert next(s) == 1; }
+        property p1 { assume s == 4 && a == 2; assert next(s) == 3; }
+        property p2 { assume s == 6 && a == 0; assert next(s) == 7; }
+        property p3 { assume s == 8 && a == 1; assert next(s) == 7; }
+        property p4 { assume s == 11 && a == 2; assert next(s) == 12; }
+    """)
+    runs = [generate_chain(m, props, state_eq(m, 0), TRUE, EngineConfig(k_max=k))
+            for k in (8, 50)]
+    for res in runs:
+        assert res.status == MULTI
+        assert res.stats.k_reached < 8
+        for c in res.chains:
+            _check_chain(m, props, TRUE, c)
+    short, long_ = runs
+    assert [c.length for c in short.chains] == [c.length for c in long_.chains]
+    assert [c.covers for c in short.chains] == [c.covers for c in long_.chains]
+    assert short.stats.solver_calls == long_.stats.solver_calls
 
 
 def test_partition_vertex_sets_no_conflicts():
