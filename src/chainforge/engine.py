@@ -6,7 +6,6 @@ concretisation fails (cheapest remedy first).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -14,10 +13,10 @@ from typing import Callable, Optional
 from . import sat
 from .bmc import Pin, PathCheck, Unrolling, check_path
 from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Not, Property,
-                    SPACE_NEXT, SPACE_STATE, SPACE_INPUT, SortError, StateSpace,
-                    TestChain, check_spaces, conj, disj, reachable_states,
-                    replay, sort_of)
-from .optimizer import instance_from_closure, solve_atsp, tour_to_vertex_path
+                    SPACE_NEXT, SPACE_STATE, SPACE_INPUT, SortError, TestChain,
+                    check_spaces, conj, disj, reachable_states, replay, sort_of)
+from .optimizer import (EXACT_LIMIT_DEFAULT, AtspInstance, instance_from_closure,
+                        solve_atsp, solve_atsp_exact, tour_to_vertex_path)
 from .reachgraph import (PROP, ReachGraph, WeightCache, build_reach_graph,
                          expand_path, get_covering_path, transitive_closure)
 
@@ -303,7 +302,7 @@ def _generate(unr: Unrolling, model: Model, props: list[Property],
         stats.k_reached = max(stats.k_reached, full.graph.k_stop)
         return full.graph
 
-    single = _single_chain(unr, model, props, out.graph, cfg, stats,
+    single = _single_chain(unr, model, props, out.graph, cfg, cache, stats,
                            rebuild=None if cfg.exhaust_k else rebuild_complete)
     if single is not None:
         return single
@@ -333,6 +332,7 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
     full = build_reach_graph(unr, props, init_expr, final_expr, cfg.k_max,
                              exhaust=True, cache=cache)
     g = full.graph
+    stats.k_reached = max(stats.k_reached, g.k_stop)
     closed = transitive_closure(g)
     I, F = g.init_idx, g.final_idx
     prop_idxs = [v.idx for v in g.vertices if v.kind == PROP]
@@ -367,8 +367,8 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
 
 
 def _single_chain(unr: Unrolling, model: Model, props: list[Property],
-                  g: ReachGraph, cfg: EngineConfig, stats: Stats,
-                  rebuild=None) -> Optional[ChainResult]:
+                  g: ReachGraph, cfg: EngineConfig, cache: WeightCache,
+                  stats: Stats, rebuild=None) -> Optional[ChainResult]:
     """Plan, check, and escalate on failure: check the repaired path
     again; else rebuild the complete graph once, if a rebuild is pending;
     else split the vertex repair names and plan again.  None when no
@@ -388,7 +388,7 @@ def _single_chain(unr: Unrolling, model: Model, props: list[Property],
         pins = [g.vertices[v].pin() for v in vs]
         chk = check_path(unr, pins, ws)
         if chk.feasible:
-            return _finish(model, props, g, vs, ws, chk, stats)
+            return _finish(model, props, g, vs, ws, chk, cache, stats)
         if stats.first_failed_path is None:
             stats.first_failed_path = [g.vertices[v].name
                                        for v in vs[chk.failed_lo:chk.failed_hi + 1]]
@@ -426,7 +426,9 @@ def _plan(g: ReachGraph, cfg: EngineConfig, stats: Stats):
 
 
 def _finish(model: Model, props, g: ReachGraph, vs, ws, chk: PathCheck,
-            stats: Stats) -> ChainResult:
+            cache: WeightCache, stats: Stats) -> ChainResult:
+    """Replay the concretised chain and certify it iff its length meets
+    `_lower_bound`: no covering chain is shorter than that bound."""
     # ground-truth the decoded run and recover cover positions from it;
     # the final pin was part of the solved path
     rep = replay(model, props, TRUE, chk.inputs, start=chk.trace[0])
@@ -439,19 +441,23 @@ def _finish(model: Model, props, g: ReachGraph, vs, ws, chk: PathCheck,
     stats.abstract_path = [g.vertices[v].name for v in vs]
     stats.abstract_weights = list(ws)
     stats.path_vertex_distinct = len(set(vs)) == len(vs)
-    certified = (stats.backend == "exact"
-                 and stats.repair_increments == 0
-                 and stats.refinement_splits == 0
-                 and stats.path_vertex_distinct
-                 and _singleton_triggers(model, props))
+    certified = chain.length == _lower_bound(g, cache)
     return ChainResult([chain], MINIMAL if certified else MINIMISED, graph=g)
 
 
-def _singleton_triggers(model: Model, props, limit: int = 1 << 14) -> bool:
-    """Explicit check of the minimality certificate's precondition: every
-    trigger's state projection is a single state (under the invariant)."""
-    if model.state_space_size() * max(model.input_space_size(), 1) > limit:
-        return False
-    space = StateSpace(model)
-    return all(len(list(itertools.islice(space.triggered(p.assumption), 2))) <= 1
-               for p in props)
+def _lower_bound(g: ReachGraph, cache: WeightCache) -> Optional[int]:
+    """Held-Karp over the complete instance on the start, property and
+    final vertices (no clones), each pair at its `WeightCache.bound`.
+    A covering chain visits the properties in the order it first covers
+    them, and each segment is no shorter than its pair's bound, so no
+    covering chain is shorter than this.  It reads the cache, since
+    repair stretches `g.weights`.  None above EXACT_LIMIT_DEFAULT
+    vertices."""
+    base = [v for v in g.vertices if g.group_of[v.idx] == v.idx]
+    if len(base) > EXACT_LIMIT_DEFAULT:
+        return None
+    pid = cache.ids(base)
+    cost = [[cache.bound((a, b)) if a != b else 0 for b in pid] for a in pid]
+    ids = [v.idx for v in base]
+    inst = AtspInstance(ids, cost, ids.index(g.init_idx), ids.index(g.final_idx))
+    return solve_atsp_exact(inst).path_cost

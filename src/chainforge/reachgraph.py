@@ -105,11 +105,26 @@ def make_vertices(props, init_expr: Expr, final_expr: Expr) -> list[Vertex]:
 
 class WeightCache:
     """Shared across partitioned sub-runs so pair weights are only ever
-    queried once."""
+    queried once.  A pair is keyed by its two vertices' pin ids (`ids`):
+    the pins say all a query asks of a vertex, while a name may be any
+    property's, `I` and `F` included."""
 
     def __init__(self):
-        self.weight: dict[tuple[str, str], int] = {}
-        self.checked_to: dict[tuple[str, str], int] = {}
+        self.weight: dict[tuple[int, int], int] = {}
+        self.checked_to: dict[tuple[int, int], int] = {}
+        self._pin_ids: dict[Pin, int] = {}
+
+    def ids(self, vertices) -> list[int]:
+        """Each vertex's pin id; equal pins get equal ids."""
+        return [self._pin_ids.setdefault(v.pin(), len(self._pin_ids))
+                for v in vertices]
+
+    def bound(self, key: tuple[int, int]) -> int:
+        """No run between the pair is shorter: the weight once resolved,
+        else one more than the depth it was checked to (0 if never)."""
+        if key in self.weight:
+            return self.weight[key]
+        return self.checked_to.get(key, -1) + 1
 
 
 @dataclass
@@ -143,9 +158,9 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     open pairs is asked whether k + 1 distinct states can follow its
     covering step (`simple_run_exists`).  If not, its open pairs are
     unreachable at every depth; they are recorded as checked to k_max
-    and leave the build.  If so, the source is not asked again before
-    depth 2k, so a source with a long simple run costs O(log k_max)
-    queries.
+    and leave the build, and a later build over the same cache starts
+    without them.  If so, the source is not asked again before depth
+    2k, so a source with a long simple run costs O(log k_max) queries.
 
     The status is "path" when a covering path exists at the end, else
     "bound-exceeded".  Each graph state is closed at most once: the
@@ -153,7 +168,9 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     vertices = make_vertices(props, init_expr, final_expr)
     g = ReachGraph(vertices, final_idx=len(vertices) - 1)
     cache = cache if cache is not None else WeightCache()
-    remaining = set(target_pairs(g))
+    pid = cache.ids(g.vertices)
+    remaining = {(a, b) for (a, b) in target_pairs(g)
+                 if cache.bound((pid[a], pid[b])) <= k_max}
     next_ask: dict[int, int] = {}
     covered: Optional[bool] = None
     k = 0
@@ -167,7 +184,7 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
         query: dict[tuple[int, int], tuple[Pin, Pin]] = {}
         for (a, b) in sorted(remaining):
             va, vb = g.vertices[a], g.vertices[b]
-            key = (va.name, vb.name)
+            key = (pid[a], pid[b])
             if key in cache.weight:
                 if cache.weight[key] == k:
                     g.weights[(a, b)] = k
@@ -184,7 +201,7 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
         if query:
             found = get_kreach_edges(unr, query, k)
             for (a, b) in query:
-                key = (g.vertices[a].name, g.vertices[b].name)
+                key = (pid[a], pid[b])
                 if (a, b) in found:
                     cache.weight[key] = k
                     g.weights[(a, b)] = k
@@ -206,14 +223,14 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
 def _drop_bounded_sources(unr: Unrolling, g: ReachGraph, remaining: set,
                           cache: WeightCache, k: int, k_max: int,
                           next_ask: dict[int, int]) -> None:
-    """Ask each source with open pairs (no known weight, not yet checked
-    to k_max), in index order, whether k + 1 distinct states can follow
-    its covering step.  Every open pair has no witness of k steps or
-    fewer, so on a no its open pairs are unreachable at any depth."""
+    """Ask each source with open pairs (remaining, no known weight), in
+    index order, whether k + 1 distinct states can follow its covering
+    step.  Every open pair has no witness of k steps or fewer, so on a
+    no its open pairs are unreachable at any depth."""
+    pid = cache.ids(g.vertices)
     open_pairs: dict[int, list[tuple[int, int]]] = {}
     for (a, b) in sorted(remaining):
-        key = (g.vertices[a].name, g.vertices[b].name)
-        if key not in cache.weight and cache.checked_to.get(key, -1) < k_max:
+        if (pid[a], pid[b]) not in cache.weight:
             open_pairs.setdefault(a, []).append((a, b))
     for a, pairs in open_pairs.items():
         if next_ask.get(a, 0) > k:
@@ -222,7 +239,7 @@ def _drop_bounded_sources(unr: Unrolling, g: ReachGraph, remaining: set,
             next_ask[a] = 2 * k
             continue
         for (x, y) in pairs:
-            cache.checked_to[(g.vertices[x].name, g.vertices[y].name)] = k_max
+            cache.checked_to[(pid[x], pid[y])] = k_max
             remaining.discard((x, y))
 
 

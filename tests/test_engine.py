@@ -284,6 +284,80 @@ def test_partition_cost_does_not_depend_on_the_bound():
     assert short.stats.solver_calls == long_.stats.solver_calls
 
 
+def test_later_builds_skip_pairs_refuted_to_the_bound():
+    """The partition's exhaustive build starts without the cross-cluster
+    pairs the first build proved unreachable, so it stops where the
+    clusters' own pairs resolve, at either bound, and `k_reached` counts
+    it."""
+    table = [[1, 5, 9],
+             [2, 3, 1], [3, 1, 4], [4, 4, 2], [1, 2, 3],
+             [6, 8, 5], [7, 5, 6], [8, 6, 8], [5, 7, 7],
+             [10, 12, 11], [11, 9, 9], [12, 10, 12], [9, 11, 10]]
+    m = table_model("hub", table)
+    props = _props_of(m, """
+        property p0 { assume s == 2 && a == 1; assert next(s) == 1; }
+        property p1 { assume s == 4 && a == 2; assert next(s) == 3; }
+        property p2 { assume s == 6 && a == 0; assert next(s) == 7; }
+        property p3 { assume s == 8 && a == 1; assert next(s) == 7; }
+        property p4 { assume s == 11 && a == 2; assert next(s) == 12; }
+    """)
+    runs = [generate_chain(m, props, state_eq(m, 0), TRUE, EngineConfig(k_max=k))
+            for k in (8, 50)]
+    assert runs[0].graph.k_stop == runs[1].graph.k_stop < 8
+    for res in runs:
+        assert res.status == MULTI
+        assert res.stats.k_reached >= res.graph.k_stop
+
+
+def test_property_named_like_the_final_vertex():
+    """Weights are cached by pins, not names: a property called F must
+    not answer for the p -> final pair, which would leave the chain
+    routed through a detour."""
+    m = table_model("t", [[1, 1], [2, 2], [1, 3], [4, 4], [4, 4]])
+    init, final = state_eq(m, 0), state_eq(m, 4)
+    for name in ("F", "G"):
+        props = _props_of(m, f"""
+            property {name} {{ assume s == 1; assert true; }}
+            property p {{ assume s == 2; assert true; }}
+        """)
+        res = generate_chain(m, props, init, final, EngineConfig(k_max=8))
+        assert res.total_length == oracle_min_chain(m, props, init, final) == 4
+        _check_chain(m, props, final, res.chains[0])
+
+
+def test_no_certificate_above_the_lower_bound():
+    """Seed 21 stops at the first depth with a covering path and
+    concretises 15 steps where 12 suffice; the pair weights known by
+    then do not prove 15 minimal."""
+    gen = random_model(21, n_states=16, n_inputs=3, n_props=5)
+    res = generate_chain(gen.model, gen.props, gen.init_expr, gen.final_expr,
+                         EngineConfig(k_max=60))
+    assert res.total_length == 15
+    assert oracle_min_chain(gen.model, gen.props, gen.init_expr,
+                            gen.final_expr) == 12
+    assert res.status != MINIMAL
+
+
+def test_certified_chains_are_minimal_on_random_models():
+    """Default configuration: every certified chain has the oracle's
+    minimal length, for single- and two-state triggers alike."""
+    rng = random.Random(12)
+    certified = {False: 0, True: 0}
+    for multi, cases in ((False, 90), (True, 50)):
+        for _ in range(cases):
+            gen = random_model(rng.randrange(1 << 30), n_states=rng.randint(6, 12),
+                               n_inputs=rng.randint(2, 3),
+                               n_props=rng.randint(3, 5), multi_state=multi)
+            res = generate_chain(gen.model, gen.props, gen.init_expr,
+                                 gen.final_expr, EngineConfig(k_max=30))
+            if res.status != MINIMAL:
+                continue
+            certified[multi] += 1
+            assert res.total_length == oracle_min_chain(
+                gen.model, gen.props, gen.init_expr, gen.final_expr)
+    assert certified[False] >= 50 and certified[True] >= 1
+
+
 def test_partition_vertex_sets_no_conflicts():
     assert partition_vertex_sets([1, 2, 3], []) == [{1, 2, 3}]
 

@@ -19,7 +19,10 @@ included), and the explicit-state references `oracle_min_chain` and `pair_min_we
 the instance's full property set.
 
 `--compare` lists the instances whose records differ and exits 1 if any
-do.  `Stats` fields that only one of the two files has are skipped, so a
+do; a status change also shows both statuses, total chain lengths and
+the oracle's minimal length, and a closing line per file counts its
+certified instances and those longer than the oracle's minimum.
+`Stats` fields that only one of the two files has are skipped, so a
 change may add or drop a field.  This is a tool, not part of the test
 suite.
 """
@@ -35,6 +38,7 @@ from pathlib import Path
 
 WORKLOADS = ("ladder", "multi", "clusters")
 WORKLOAD_SEEDS = (1, 2)
+CERTIFIED = "minimal-certified"
 
 
 def oracle_record(oracle, model, props, init, final) -> dict:
@@ -114,6 +118,25 @@ def differences(a: dict, b: dict) -> list[str]:
     return out
 
 
+def total_length(rec: dict) -> int:
+    return sum(len(c) for c in rec.get("chains", []))
+
+
+def outcome(rec: dict) -> str:
+    """Status, total chain length and the oracle's minimal length."""
+    return (f"{rec.get('status')} {total_length(rec)} steps "
+            f"(oracle {rec['oracle'].get('min_chain')})")
+
+
+def certificates(path: Path, runs: dict) -> str:
+    """Certified instances in one file, and how many are not at the
+    oracle's minimal length (above it, unless the oracle failed)."""
+    certified = [r for r in runs.values() if r.get("status") == CERTIFIED]
+    long_ = sum(1 for r in certified
+                if total_length(r) != r["oracle"].get("min_chain"))
+    return f"{path}: {len(certified)} certified, {long_} above the oracle"
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     a, b = json.loads(path_a.read_text()), json.loads(path_b.read_text())
     bad = 0
@@ -124,9 +147,14 @@ def compare(path_a: Path, path_b: Path) -> int:
             continue
         diff = differences(a[name], b[name])
         if diff:
-            print(f"{name}: {', '.join(diff)}")
+            line = f"{name}: {', '.join(diff)}"
+            if "status" in diff:
+                line += f" [{outcome(a[name])} -> {outcome(b[name])}]"
+            print(line)
             bad += 1
     print(f"{bad} of {len(set(a) | set(b))} instances differ")
+    for path, runs in ((path_a, a), (path_b, b)):
+        print(certificates(path, runs))
     return 1 if bad else 0
 
 
