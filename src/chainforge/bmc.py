@@ -67,7 +67,6 @@ class Unrolling:
         # source pin -> (longest m known to have a simple run, shortest m
         # known to have none)
         self.simple_runs: dict[Pin, tuple[int, float]] = {}
-        self.stats_solver_calls = 0
         self._add_frame()
 
     # -- frames ---------------------------------------------------------------
@@ -142,12 +141,6 @@ class Unrolling:
 
     def retire(self, g: int) -> None:
         self.solver.add_clause([-g])
-
-    def solve(self, assumptions: Sequence[int], shrink_core: bool = False) -> sat.SolveResult:
-        self.stats_solver_calls += 1
-        if shrink_core:
-            return self.solver.solve_with_core_shrink(list(assumptions))
-        return self.solver.solve(list(assumptions))
 
     def state_bits(self, k: int) -> list[int]:
         """Every literal that encodes the state at step k."""
@@ -225,7 +218,7 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
         while remaining:
             g = unr.guard()
             unr.pin(g, *(sel[key] for key in remaining))
-            res = unr.solve([g])
+            res = unr.solver.solve([g])
             unr.retire(g)
             if res.status == sat.UNKNOWN:
                 raise sat.SolverLimit("k-reach query aborted")
@@ -283,7 +276,7 @@ def simple_run_exists(unr: Unrolling, src: Pin, m: int) -> bool:
                 pair.append(d)
             unr.pin(g, *pair)
             diffs += pair
-        res = unr.solve([g])
+        res = unr.solver.solve([g])
     finally:
         for lit in (g, *diffs):
             unr.retire(lit)
@@ -296,15 +289,15 @@ def simple_run_exists(unr: Unrolling, src: Pin, m: int) -> bool:
     return False
 
 
-def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
-               shrink_core: bool = True) -> PathCheck:
+def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> PathCheck:
     """Concretise an abstract path: pin each vertex at the cumulative
     offset of the weights before it, connected by the transition relation.
 
     Feasible: returns the decoded input sequence (length = sum of
     weights) and trace.  Infeasible: returns the smallest contiguous
-    vertex range covering the unsat core, widened to at least three
-    vertices; a backend that gives no core blames the whole path."""
+    vertex range covering the solver's assumption core as it is (one
+    solve either way), widened to at least three vertices; a backend
+    that gives no core blames the whole path."""
     if len(pins) != len(weights) + 1:
         raise ValueError("need exactly one weight per consecutive vertex pair")
     offsets = [0]
@@ -322,7 +315,7 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
         for lit in _pin_lits(unr, p, o, with_psi=True):
             unr.pin(t, lit)
         tags.append(t)
-    res = unr.solve(tags, shrink_core=shrink_core)
+    res = unr.solver.solve(tags)
     for t in tags:
         unr.retire(t)
     if res.status == sat.UNKNOWN:

@@ -90,7 +90,12 @@ def validate_inputs(model: Model, props, init_expr: Expr, final_expr: Expr) -> N
         if sort_of(e) != BOOL:
             raise SortError(f"{what} must be boolean")
         check_spaces(e, state_only, what)
+    names: set[str] = set()
     for p in props:
+        # reports, covers and partition classes all key properties by name
+        if p.name in names:
+            raise SortError(f"duplicate property name '{p.name}'")
+        names.add(p.name)
         if sort_of(p.assumption) != BOOL or sort_of(p.assertion) != BOOL:
             raise SortError(f"property '{p.name}' needs boolean assume/assert")
         check_spaces(p.assumption, frozenset({SPACE_STATE, SPACE_INPUT}),
@@ -146,8 +151,7 @@ def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
             phi = conj(state_equality_expr(model, sigma), phi)
         block = conj(*(Not(state_equality_expr(model, b)) for b in blocked))
         chk = check_path(unr, [Pin(phi, src_v.psi),
-                               Pin(conj(dst_v.phi, block), dst_v.psi)], [w],
-                         shrink_core=False)
+                               Pin(conj(dst_v.phi, block), dst_v.psi)], [w])
         if not chk.feasible:
             return None
         return chk.trace[w]
@@ -281,7 +285,7 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     except sat.SolverLimit as ex:
         raise TimeoutAbort(str(ex)) from ex
     finally:
-        stats.solver_calls = unr.stats_solver_calls
+        stats.solver_calls = solver.stats_solves
         stats.wall_time_s = time.perf_counter() - t0
     result.stats = stats
     return result
@@ -324,8 +328,9 @@ def _try_partition(unr: Unrolling, model: Model, props: list[Property],
     conflicting pair (two properties with no k-reach weight within the
     bound in either direction) and chain each class on its own.  Without a
     conflicting pair there is nothing to split, no single chain covers
-    the set, and the run fails here.  Every class of a split is strictly
-    smaller than the set, so the recursion ends."""
+    the set, and the run fails here.  A class keeps the same cached
+    direct weights and so has no conflicting pair: when no single chain
+    covers it, its own partition step fails too."""
     if not cfg.allow_partition or len(props) <= 1:
         return ChainResult([], FAILED, NO_SINGLE_CHAIN, graph=g)
     # the partition needs the complete pairwise picture up to the bound

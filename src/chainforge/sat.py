@@ -384,28 +384,6 @@ class Solver:
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
 
-    def solve_with_core_shrink(self, assumptions: Sequence[int] = ()) -> SolveResult:
-        """Like solve(), but greedily shrinks an unsat core by deletion,
-        spending at most 2x the initial core size in extra solver calls."""
-        res = self.solve(assumptions)
-        if res.status != UNSAT or not res.core:
-            return res
-        core = list(res.core)
-        budget = 2 * len(core)
-        i = 0
-        while i < len(core) and budget > 0:
-            trial = core[:i] + core[i + 1:]
-            budget -= 1
-            sub = self.solve(trial)
-            if sub.status == UNSAT:
-                core = list(sub.core) if sub.core is not None else trial
-                if i >= len(core):
-                    break
-            else:
-                i += 1
-        res.core = core
-        return res
-
 
 # ---------------------------------------------------------------------------
 # DIMACS + external backend
@@ -513,9 +491,6 @@ class ExternalSolver:
             if v != 0 and abs(v) <= self.nvars:
                 model[abs(v)] = v > 0
         return SolveResult(SAT, model=model)
-
-    def solve_with_core_shrink(self, assumptions: Sequence[int] = ()) -> SolveResult:
-        return self.solve(assumptions)
 
 
 def make_solver(deadline: Optional[float] = None):

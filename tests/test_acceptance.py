@@ -192,7 +192,7 @@ def test_criterion_8_sat_layer_soundness():
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, nvars + 1),
                                                rng.randint(1, nvars))]
-        res = s.solve_with_core_shrink(assumptions)
+        res = s.solve(assumptions)
         want = tt_satisfiable(nvars, clauses + [[a] for a in assumptions])
         assert (res.status == "sat") == want, (nvars, clauses, assumptions)
         if res.status == "sat":

@@ -31,7 +31,7 @@ def _trig(model, text):
 
 def _reach(unr, src, dst, k):
     """Is some dst-state reachable from some src-state in exactly k steps?"""
-    return check_path(unr, [Pin(src), Pin(dst)], [k], shrink_core=False)
+    return check_path(unr, [Pin(src), Pin(dst)], [k])
 
 
 def test_reach_zero_steps_self(cruise_model, cruise_unrolling, cruise_final):
@@ -174,8 +174,10 @@ def test_check_path_broken_chain_failed_subpath(cruise_model, cruise_final,
     unr = Unrolling(cruise_model)
     vs = make_vertices(broken_chain_props, cruise_final, cruise_final)
     pins = [v.pin() for v in vs]
+    solves = unr.solver.stats_solves
     res = check_path(unr, pins, [0, 1, 2])
     assert not res.feasible
+    assert unr.solver.stats_solves == solves + 1      # the core costs no solve
     assert (res.failed_lo, res.failed_hi) == (0, 2)   # <I, p1, p2>
     # the failed subpath alone, at the same weights, is still infeasible
     sub = check_path(unr, pins[0:3], [0, 1])
@@ -216,11 +218,11 @@ def test_simple_run_exists_on_a_cycle():
     unr = Unrolling(model)
     assert [simple_run_exists(unr, src, m) for m in range(1, 7)] == \
         [True] * 4 + [False] * 2
-    calls = unr.stats_solver_calls
+    calls = unr.solver.stats_solves
     assert simple_run_exists(unr, src, 6) is False
     assert simple_run_exists(unr, src, 5) is False
     assert simple_run_exists(unr, src, 3) is True
-    assert unr.stats_solver_calls == calls
+    assert unr.solver.stats_solves == calls
     ref = Unrolling(model)
     ref.ensure(unr.horizon)
     ref.pred_lit(src.phi, 0)

@@ -157,7 +157,7 @@ def test_cruise_transition_encoding_successor(cruise_model):
     for n, _d in cruise_model.inputs:
         lit = unr.input_frames[0][n]
         pin_inputs.append(lit if gas[n] else -lit)
-    res = unr.solve([pin_state] + pin_inputs)
+    res = unr.solver.solve([pin_state] + pin_inputs)
     assert res.status == "sat"
     got = unr.decode_state(res.model, 1)
     assert got == step(cruise_model, s0, gas)

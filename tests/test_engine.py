@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from chainforge.dsl import parse_properties
 from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
                                generate_chain, partition_vertex_sets)
-from chainforge.model import Property, TRUE, disj, eval_expr, replay, run_trace
+from chainforge.model import (Property, SortError, TRUE, disj, eval_expr, replay,
+                              run_trace)
 from chainforge.oracle import (oracle_min_chain, pair_min_weights,
                                random_model, reachability_diameter, state_eq,
                                table_model)
@@ -48,8 +51,10 @@ def test_cruise_bound_exceeded(cruise_model, cruise_props, cruise_final):
 
 
 def test_repair_example(cruise_model, broken_chain_props, cruise_final):
+    from chainforge.sat import Solver
+    solver = Solver()
     res = generate_chain(cruise_model, broken_chain_props, cruise_final,
-                         cruise_final)
+                         cruise_final, EngineConfig(solver_factory=lambda: solver))
     assert res.status == MINIMISED     # multi-state triggers: no certificate
     assert res.total_length == 4
     st = res.stats
@@ -63,6 +68,8 @@ def test_repair_example(cruise_model, broken_chain_props, cruise_final):
     _check_chain(cruise_model, broken_chain_props, cruise_final, res.chains[0])
     assert oracle_min_chain(cruise_model, broken_chain_props, cruise_final,
                             cruise_final) == 4
+    # the failed path check and repair count every solve they cost
+    assert st.solver_calls == solver.stats_solves
 
 
 def test_already_feasible_path_needs_no_repair(cruise_model, cruise_props,
@@ -175,6 +182,17 @@ def test_partition_disabled_fails():
                          EngineConfig(k_max=8, allow_partition=False))
     assert res.status == FAILED
     assert not res.chains
+
+
+def test_duplicate_property_names_are_rejected():
+    """Partition classes map back to properties by name, so two
+    properties named alike would land in every class and split again
+    forever; they are rejected up front instead."""
+    m = table_model("clusters", [[1, 3], [2, 1], [1, 2], [4, 3], [3, 4]])
+    props = [Property("p", state_eq(m, 2), TRUE),
+             Property("p", state_eq(m, 4), TRUE)]
+    with pytest.raises(SortError, match="duplicate property name 'p'"):
+        generate_chain(m, props, state_eq(m, 0), TRUE, EngineConfig(k_max=10))
 
 
 def test_partition_unreachable_final_reports_vertex():

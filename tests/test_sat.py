@@ -44,13 +44,13 @@ def test_assumption_core_is_sound_and_minimal_here():
     s = Solver()
     x, y, z = (s.new_var() for _ in range(3))
     s.add_clause([-x, -y])          # x & y contradict
-    res = s.solve_with_core_shrink([x, y, z])
+    res = s.solve([x, y, z])
     assert res.status == "unsat"
     assert set(res.core) <= {x, y, z}
     # core alone must still be unsat
     again = s.solve(res.core)
     assert again.status == "unsat"
-    assert set(res.core) == {x, y}  # z is irrelevant and gets shrunk away
+    assert set(res.core) == {x, y}  # z is irrelevant and stays out of the core
 
 
 def test_incremental_clause_growth():

@@ -21,7 +21,11 @@ the instance's full property set.
 `--compare` lists the instances whose records differ and exits 1 if any
 do; a status change also shows both statuses, total chain lengths and
 the oracle's minimal length, and a closing line per file counts its
-certified instances and those longer than the oracle's minimum.
+certified instances and those longer than the oracle's minimum.  Then
+each file gets one line per workload and workload seed with the total
+chain length, the certified count, the solver's solves and conflicts,
+and the repair increments, so a change to the search shows its
+aggregate effect next to the per-instance list.
 `Stats` fields that only one of the two files has are skipped, so a
 change may add or drop a field.  This is a tool, not part of the test
 suite.
@@ -137,6 +141,26 @@ def certificates(path: Path, runs: dict) -> str:
     return f"{path}: {len(certified)} certified, {long_} above the oracle"
 
 
+def aggregates(path: Path, runs: dict) -> list[str]:
+    """One line per workload and workload seed (the instance name
+    without its index) summing the records of one file."""
+    groups: dict[str, list[dict]] = {}
+    for name, rec in runs.items():
+        groups.setdefault(name.rsplit("-", 1)[0], []).append(rec)
+    lines = []
+    for key in sorted(groups):
+        recs = groups[key]
+        solver = [r.get("solver", {}) for r in recs]
+        lines.append(
+            f"{path} {key}: length {sum(total_length(r) for r in recs)}, "
+            f"{sum(r.get('status') == CERTIFIED for r in recs)} certified, "
+            f"{sum(s.get('solves', 0) for s in solver)} solves, "
+            f"{sum(s.get('conflicts', 0) for s in solver)} conflicts, "
+            f"{sum(r.get('stats', {}).get('repair_increments', 0) for r in recs)}"
+            f" repair increments")
+    return lines
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     a, b = json.loads(path_a.read_text()), json.loads(path_b.read_text())
     bad = 0
@@ -155,6 +179,8 @@ def compare(path_a: Path, path_b: Path) -> int:
     print(f"{bad} of {len(set(a) | set(b))} instances differ")
     for path, runs in ((path_a, a), (path_b, b)):
         print(certificates(path, runs))
+    for path, runs in ((path_a, a), (path_b, b)):
+        print("\n".join(aggregates(path, runs)))
     return 1 if bad else 0
 
 
