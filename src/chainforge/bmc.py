@@ -220,8 +220,6 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
             unr.pin(g, *(sel[key] for key in remaining))
             res = unr.solver.solve([g])
             unr.retire(g)
-            if res.status == sat.UNKNOWN:
-                raise sat.SolverLimit("k-reach query aborted")
             if res.status == sat.UNSAT:
                 break
             trace = [unr.decode_state(res.model, j) for j in range(depth + 1)]
@@ -280,8 +278,6 @@ def simple_run_exists(unr: Unrolling, src: Pin, m: int) -> bool:
     finally:
         for lit in (g, *diffs):
             unr.retire(lit)
-    if res.status == sat.UNKNOWN:
-        raise sat.SolverLimit("simple-run query aborted")
     if res.status == sat.SAT:
         unr.simple_runs[src] = (m, refuted)
         return True
@@ -318,8 +314,6 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
     res = unr.solver.solve(tags)
     for t in tags:
         unr.retire(t)
-    if res.status == sat.UNKNOWN:
-        raise sat.SolverLimit("path query aborted")
     if res.status == sat.SAT:
         trace, inputs = unr.decode_run(res.model, total)
         return PathCheck(True, inputs=inputs, trace=trace)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .dsl import parse_model, parse_properties, parse_state_set
-from .engine import EngineConfig, FAILED, TimeoutAbort, ChainResult, generate_chain
+from .engine import EngineConfig, FAILED, ChainResult, generate_chain
 from .model import Model, SortError, TestChain, eval_expr, replay
 from .oracle import OracleLimit, oracle_min_chain, random_baseline
 from .sat import SolverLimit
@@ -145,7 +145,7 @@ def cmd_generate(args) -> int:
                        deadline=deadline)
     try:
         result = generate_chain(model, props, init_expr, final_expr, cfg)
-    except (TimeoutAbort, SolverLimit) as ex:
+    except SolverLimit as ex:
         print(f"aborted: {ex}", file=sys.stderr)
         return EXIT_TIMEOUT
     except SortError as ex:
@@ -215,7 +215,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         try:
             result = generate_chain(model, props, init_expr, final_expr, cfg)
-        except (TimeoutAbort, SolverLimit):
+        except SolverLimit:
             rows.append((bench_dir.name, "-", "-", "-", "-", "-", "timeout"))
             failures += 1
             continue

@@ -14,12 +14,21 @@ Grammar (frozen; see README for the full EBNF):
 Expressions use C-like precedence over `? : => || && == != < <= + - !`,
 with `next(v)` referencing the post-state (assertions only).  Comments run
 from `//` to end of line.
+
+Names resolve by deferred builders: the parser turns each expression into
+a function of its scope (the declared names and the variable spaces the
+item may read) that returns the typed `model.Expr`.  A model's items are
+built once every declaration is read, a property once both of its
+expressions are read, a state set at the end of its text.  So a syntax
+error is reported before any name or sort error, declarations are checked
+as they are read, and among the rest the earliest item wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional
 
 from .model import (BOOL, CMP_OPS, BoolDomain, BinOp, Const, Domain,
                     EnumDomain, Expr, IntRange, Ite, Model, Not,
@@ -92,9 +101,9 @@ def tokenize(text: str, filename: str) -> list[Token]:
                 i += 1
             continue
         start = SourceSpan(filename, line, col, line, col)
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token("int", text[i:j],
                               SourceSpan(filename, line, col, line, col + (j - i) - 1)))
@@ -123,57 +132,9 @@ def tokenize(text: str, filename: str) -> list[Token]:
     return toks
 
 
-# ---------------------------------------------------------------------------
-# Raw (unresolved) expression AST
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RName:
-    name: str
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RNext:
-    name: str
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RInt:
-    value: int
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RBool:
-    value: bool
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RNot:
-    a: "RawExpr"
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RBin:
-    op: str
-    a: "RawExpr"
-    b: "RawExpr"
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RIte:
-    cond: "RawExpr"
-    then: "RawExpr"
-    other: "RawExpr"
-    span: SourceSpan
-
-
-RawExpr = Union[RName, RNext, RInt, RBool, RNot, RBin, RIte]
+#: A parsed expression waiting for its scope: given the declared names and
+#: the variable spaces the item may read, it returns the typed Expr.
+Build = Callable[["_Symbols", frozenset], Expr]
 
 
 class _Parser:
@@ -216,63 +177,69 @@ class _Parser:
 
     # -- expressions (C-like precedence) ------------------------------------
 
-    def expr(self) -> RawExpr:
+    def expr(self) -> Build:
         return self.ternary()
 
-    def ternary(self) -> RawExpr:
+    def node(self, start: int, make: Callable[..., Expr], *parts: Build) -> Build:
+        """Builder of `make(*parts)`, an expression that began at token
+        `start`; its sort errors point at its first token that is not '('."""
+        while self.toks[start].text == "(":
+            start += 1
+        span = self.toks[start].span
+        return lambda sym, allowed: _typed(make(*[b(sym, allowed) for b in parts]), span)
+
+    def ternary(self) -> Build:
+        start = self.pos
         c = self.implies()
-        if self.at("punct", "?"):
-            self.next()
-            t = self.expr()
-            self.expect("punct", ":")
-            e = self.ternary()
-            return RIte(c, t, e, c.span)
-        return c
+        if not self.at("punct", "?"):
+            return c
+        self.next()
+        t = self.expr()
+        self.expect("punct", ":")
+        return self.node(start, Ite, c, t, self.ternary())
 
-    def implies(self) -> RawExpr:
+    def implies(self) -> Build:
+        start = self.pos
         a = self.or_()
-        if self.at("punct", "=>"):
-            self.next()
-            b = self.implies()
-            return RBin("=>", a, b, a.span)
+        if not self.at("punct", "=>"):
+            return a
+        self.next()
+        return self.node(start, partial(BinOp, "=>"), a, self.implies())
+
+    def left(self, ops: tuple[str, ...], operand: Callable[[], Build]) -> Build:
+        """`operand (op operand)*`, grouped to the left."""
+        start = self.pos
+        a = operand()
+        while self.peek().kind == "punct" and self.peek().text in ops:
+            a = self.node(start, partial(BinOp, self.next().text), a, operand())
         return a
 
-    def or_(self) -> RawExpr:
-        a = self.and_()
-        while self.at("punct", "||"):
-            self.next()
-            a = RBin("||", a, self.and_(), a.span)
-        return a
+    def or_(self) -> Build:
+        return self.left(("||",), self.and_)
 
-    def and_(self) -> RawExpr:
-        a = self.cmp()
-        while self.at("punct", "&&"):
-            self.next()
-            a = RBin("&&", a, self.cmp(), a.span)
-        return a
+    def and_(self) -> Build:
+        return self.left(("&&",), self.cmp)
 
-    def cmp(self) -> RawExpr:
+    def cmp(self) -> Build:
+        start = self.pos
         a = self.add()
         t = self.peek()
         if t.kind == "punct" and t.text in CMP_OPS:
             self.next()
-            return RBin(t.text, a, self.add(), a.span)
+            return self.node(start, partial(BinOp, t.text), a, self.add())
         return a
 
-    def add(self) -> RawExpr:
-        a = self.unary()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            a = RBin(op, a, self.unary(), a.span)
-        return a
+    def add(self) -> Build:
+        return self.left(("+", "-"), self.unary)
 
-    def unary(self) -> RawExpr:
+    def unary(self) -> Build:
         if self.at("punct", "!"):
-            t = self.next()
-            return RNot(self.unary(), t.span)
+            start = self.pos
+            self.next()
+            return self.node(start, Not, self.unary())
         return self.atom()
 
-    def atom(self) -> RawExpr:
+    def atom(self) -> Build:
         t = self.peek()
         if self.at("punct", "("):
             self.next()
@@ -280,24 +247,24 @@ class _Parser:
             self.expect("punct", ")")
             return e
         if self.at("punct", "-") or t.kind == "int":
-            return RInt(self.signed_int(), t.span)
+            v = self.signed_int()
+            const = Const(v, IntRange(v, v))
+            return lambda sym, allowed: const
         if t.kind == "ident":
-            if t.text == "true":
+            if t.text in ("true", "false"):
                 self.next()
-                return RBool(True, t.span)
-            if t.text == "false":
-                self.next()
-                return RBool(False, t.span)
+                const = Const(t.text == "true", BOOL)
+                return lambda sym, allowed: const
             if t.text == "next":
                 self.next()
                 self.expect("punct", "(")
-                name = self.ident("a state variable name")
+                name = self.ident("a state variable name").text
                 self.expect("punct", ")")
-                return RNext(name.text, t.span)
+                return lambda sym, allowed: sym.next_ref(name, t.span, allowed)
             if t.text in KEYWORDS:
                 raise ParseError(f"unexpected keyword '{t.text}'", t.span)
             self.next()
-            return RName(t.text, t.span)
+            return lambda sym, allowed: sym.ref(t.text, t.span, allowed)
         raise ParseError(f"expected an expression, found '{t.text or t.kind}'", t.span)
 
     # -- domains -------------------------------------------------------------
@@ -342,7 +309,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Resolution: raw AST -> typed Expr against a model's declarations
+# Names: declarations and the rules for reading them
 # ---------------------------------------------------------------------------
 
 class _Symbols:
@@ -361,40 +328,27 @@ class _Symbols:
                     raise ParseError(f"enum constant '{c}' clashes with an existing name", span)
                 self.consts[c] = dom
 
-
-def _resolve(raw: RawExpr, sym: _Symbols, allowed: frozenset[str]) -> Expr:
-    if isinstance(raw, RBool):
-        return Const(raw.value, BOOL)
-    if isinstance(raw, RInt):
-        return Const(raw.value, IntRange(raw.value, raw.value))
-    if isinstance(raw, RName):
-        if raw.name in sym.consts:
-            return Const(raw.name, sym.consts[raw.name])
-        if raw.name in sym.state:
+    def ref(self, name: str, span: SourceSpan, allowed: frozenset) -> Expr:
+        """The constant or variable `name`, where `allowed` spaces are read."""
+        if name in self.consts:
+            return Const(name, self.consts[name])
+        if name in self.state:
             if SPACE_STATE not in allowed:
-                raise ParseError(f"state variable '{raw.name}' is not allowed here", raw.span)
-            return Ref(raw.name, SPACE_STATE, sym.state[raw.name])
-        if raw.name in sym.input:
+                raise ParseError(f"state variable '{name}' is not allowed here", span)
+            return Ref(name, SPACE_STATE, self.state[name])
+        if name in self.input:
             if SPACE_INPUT not in allowed:
-                raise ParseError(f"input variable '{raw.name}' is not allowed here", raw.span)
-            return Ref(raw.name, SPACE_INPUT, sym.input[raw.name])
-        raise ParseError(f"undeclared name '{raw.name}'", raw.span)
-    if isinstance(raw, RNext):
+                raise ParseError(f"input variable '{name}' is not allowed here", span)
+            return Ref(name, SPACE_INPUT, self.input[name])
+        raise ParseError(f"undeclared name '{name}'", span)
+
+    def next_ref(self, name: str, span: SourceSpan, allowed: frozenset) -> Expr:
+        """`next(name)`, where `allowed` spaces are read."""
         if SPACE_NEXT not in allowed:
-            raise ParseError("next() is not allowed here", raw.span)
-        if raw.name not in sym.state:
-            raise ParseError(f"next() needs a state variable, got '{raw.name}'", raw.span)
-        return Ref(raw.name, SPACE_NEXT, sym.state[raw.name])
-    if isinstance(raw, RNot):
-        return _typed(Not(_resolve(raw.a, sym, allowed)), raw.span)
-    if isinstance(raw, RBin):
-        return _typed(BinOp(raw.op, _resolve(raw.a, sym, allowed),
-                            _resolve(raw.b, sym, allowed)), raw.span)
-    if isinstance(raw, RIte):
-        return _typed(Ite(_resolve(raw.cond, sym, allowed),
-                          _resolve(raw.then, sym, allowed),
-                          _resolve(raw.other, sym, allowed)), raw.span)
-    raise AssertionError(raw)
+            raise ParseError("next() is not allowed here", span)
+        if name not in self.state:
+            raise ParseError(f"next() needs a state variable, got '{name}'", span)
+        return Ref(name, SPACE_NEXT, self.state[name])
 
 
 def _typed(e: Expr, span: SourceSpan) -> Expr:
@@ -434,7 +388,7 @@ def _parse_model(text: str, filename: str, diags: list[Diagnostic]) -> Model:
     state_vars: list[tuple[str, Domain]] = []
     inputs: list[tuple[str, Domain]] = []
     init_values: list[tuple[str, object]] = []
-    raw_items: list[tuple[str, object, SourceSpan]] = []
+    items: list[tuple[str, Build, SourceSpan]] = []
 
     while not p.at("punct", "}"):
         t = p.peek()
@@ -463,9 +417,9 @@ def _parse_model(text: str, filename: str, diags: list[Diagnostic]) -> Model:
             p.expect("punct", ";")
         elif p.at("ident", "assume") or p.at("ident", "invariant") or p.at("ident", "init"):
             kind = p.next().text
-            raw = p.expr()
+            build = p.expr()
             p.expect("punct", ";")
-            raw_items.append((kind, raw, t.span))
+            items.append((kind, build, t.span))
         elif p.at("ident", "trans"):
             p.next()
             p.expect("punct", "{")
@@ -473,9 +427,9 @@ def _parse_model(text: str, filename: str, diags: list[Diagnostic]) -> Model:
                 n = p.ident("a state variable name")
                 p.expect("punct", "'")
                 p.expect("punct", "=")
-                raw = p.expr()
+                build = p.expr()
                 p.expect("punct", ";")
-                raw_items.append(("trans:" + n.text, raw, n.span))
+                items.append(("trans:" + n.text, build, n.span))
             p.expect("punct", "}")
         else:
             raise ParseError(f"unexpected '{t.text or t.kind}' in model body", t.span)
@@ -488,19 +442,19 @@ def _parse_model(text: str, filename: str, diags: list[Diagnostic]) -> Model:
     transition: list[tuple[str, Expr]] = []
     seen_trans: set[str] = set()
 
-    def boolean(raw, allowed, span, what):
-        e = _resolve(raw, sym, allowed)
+    def boolean(build, allowed, span, what):
+        e = build(sym, allowed)
         if sort_of(e) != BOOL:
             raise ParseError(f"'{what}' needs a boolean expression", span)
         return e
 
-    for kind, raw, span in raw_items:
+    for kind, build, span in items:
         if kind == "assume":
-            assumption = boolean(raw, frozenset({SPACE_INPUT}), span, kind)
+            assumption = boolean(build, frozenset({SPACE_INPUT}), span, kind)
         elif kind == "invariant":
-            invariant = boolean(raw, frozenset({SPACE_STATE}), span, kind)
+            invariant = boolean(build, frozenset({SPACE_STATE}), span, kind)
         elif kind == "init":
-            init_pred = boolean(raw, frozenset({SPACE_STATE}), span, kind)
+            init_pred = boolean(build, frozenset({SPACE_STATE}), span, kind)
         else:
             var = kind.split(":", 1)[1]
             if var not in sym.state:
@@ -508,7 +462,7 @@ def _parse_model(text: str, filename: str, diags: list[Diagnostic]) -> Model:
             if var in seen_trans:
                 raise ParseError(f"duplicate update for '{var}'", span)
             seen_trans.add(var)
-            e = _resolve(raw, sym, frozenset({SPACE_STATE, SPACE_INPUT}))
+            e = build(sym, frozenset({SPACE_STATE, SPACE_INPUT}))
             target = sym.state[var]
             src = sort_of(e)
             if isinstance(target, IntRange):
@@ -559,14 +513,14 @@ def parse_properties(text: str, model: Model, filename: str = "<props>"):
             seen.add(name.text)
             p.expect("punct", "{")
             p.expect("ident", "assume")
-            raw_phi = p.expr()
+            build_phi = p.expr()
             p.expect("punct", ";")
             p.expect("ident", "assert")
-            raw_psi = p.expr()
+            build_psi = p.expr()
             p.expect("punct", ";")
             p.expect("punct", "}")
-            phi = _resolve(raw_phi, sym, frozenset({SPACE_STATE, SPACE_INPUT}))
-            psi = _resolve(raw_psi, sym, frozenset({SPACE_STATE, SPACE_INPUT, SPACE_NEXT}))
+            phi = build_phi(sym, frozenset({SPACE_STATE, SPACE_INPUT}))
+            psi = build_psi(sym, frozenset({SPACE_STATE, SPACE_INPUT, SPACE_NEXT}))
             for b, span in ((phi, t.span), (psi, t.span)):
                 if sort_of(b) != BOOL:
                     raise ParseError("assume/assert need boolean expressions", span)
@@ -597,9 +551,9 @@ def parse_state_set(text: str, model: Model, filename: str = "<expr>"):
     diags: list[Diagnostic] = []
     try:
         p = _Parser(text, filename)
-        raw = p.expr()
+        build = p.expr()
         p.expect("eof")
-        e = _resolve(raw, _model_symbols(model), frozenset({SPACE_STATE}))
+        e = build(_model_symbols(model), frozenset({SPACE_STATE}))
         if sort_of(e) != BOOL:
             raise ParseError("a state set must be a boolean expression",
                              SourceSpan(filename, 1, 1, 1, 1))

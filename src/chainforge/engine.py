@@ -38,10 +38,6 @@ MAX_SPLITS = 64
 MAX_ROUNDS = 200
 
 
-class TimeoutAbort(Exception):
-    pass
-
-
 @dataclass
 class EngineConfig:
     k_max: int = 50
@@ -122,7 +118,7 @@ def strengthened_invariant(model: Model, limit: int = 4096) -> Expr:
 
 def _check_deadline(cfg: EngineConfig) -> None:
     if cfg.deadline is not None and time.monotonic() > cfg.deadline:
-        raise TimeoutAbort("generation deadline exceeded")
+        raise sat.SolverLimit("generation deadline exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,9 @@ def partition_vertex_sets(vertices: list[int],
 def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
                    cfg: Optional[EngineConfig] = None) -> ChainResult:
     """Compute a covering test chain (or several when the properties do
-    not admit a single one and partitioning is enabled)."""
+    not admit a single one and partitioning is enabled).  Raises
+    SortError for ill-sorted inputs and sat.SolverLimit when the deadline
+    or a conflict budget runs out."""
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
     stats = Stats()
@@ -282,8 +280,6 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     try:
         result = _generate(unr, model, list(props), init_expr, final_expr, cfg,
                            cache, stats)
-    except sat.SolverLimit as ex:
-        raise TimeoutAbort(str(ex)) from ex
     finally:
         stats.solver_calls = solver.stats_solves
         stats.wall_time_s = time.perf_counter() - t0
@@ -417,17 +413,19 @@ def _plan(g: ReachGraph, cfg: EngineConfig, stats: Stats):
     """Shortest covering path, expanded to original edges: solve the
     circuit problem on the closure restricted to the vertices of a
     constructive covering path (every vertex on an unrefined graph; on a
-    refined one, the member of each group that path uses first), keeping
-    the covering path itself when the solver finds no tour.  Returns
-    (vertices, weights), or None when no covering path exists."""
+    refined one, the member of each group that path uses first).  The
+    covering path is a Hamiltonian path over those vertices, so a tour
+    always exists: Held-Karp finds one, and so does the heuristic's
+    insertion seed, since on a closed relation with such a path every
+    two vertices are ordered by reachability.  Returns (vertices,
+    weights), or None when no covering path exists."""
     closed = transitive_closure(g)
     cover = get_covering_path(closed)
     if cover is None:
         return None
     inst = instance_from_closure(closed, keep=cover)
     tour, stats.backend = solve_atsp(inst, backend=cfg.atsp, seed=cfg.seed)
-    path = cover if tour is None else tour_to_vertex_path(inst, tour)
-    return expand_path(closed, path)
+    return expand_path(closed, tour_to_vertex_path(inst, tour))
 
 
 def _finish(model: Model, props, g: ReachGraph, vs, ws, chk: PathCheck,

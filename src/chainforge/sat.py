@@ -19,11 +19,12 @@ from typing import Optional, Sequence
 
 SAT = "sat"
 UNSAT = "unsat"
-UNKNOWN = "unknown"
 
 
 class SolverLimit(Exception):
-    """Conflict budget or deadline exhausted; the query result is unknown."""
+    """A conflict budget or deadline ran out, so the answer is unknown.
+    The one resource-limit signal: backends raise it rather than return
+    an unknown status, and the engine raises it for its own deadline."""
 
 
 @dataclass
@@ -31,10 +32,6 @@ class SolveResult:
     status: str
     model: Optional[list[bool]] = None      # 1-indexed via model[var]
     core: Optional[list[int]] = None        # subset of the assumption literals
-
-    def value(self, lit: int) -> bool:
-        v = self.model[abs(lit)]
-        return v if lit > 0 else not v
 
 
 class Solver:
@@ -436,7 +433,6 @@ class ExternalSolver:
         self.deadline = deadline
         self.stats_solves = 0
         self.stats_conflicts = 0
-        self.ok = True
 
     def new_var(self) -> int:
         self.nvars += 1

@@ -14,8 +14,8 @@ from chainforge.oracle import (oracle_min_chain, random_model,
 from chainforge.reachgraph import (ReachGraph, Vertex, exists_covering_path)
 from chainforge.sat import Solver
 
-from util import (brute_atsp_path, brute_covering_path_exists, random_cnf,
-                  random_digraph, tt_check_model, tt_satisfiable)
+from util import (brute_atsp_path, brute_covering_path_exists, lit_value,
+                  random_cnf, random_digraph, tt_check_model, tt_satisfiable)
 
 
 def _report(n, text):
@@ -197,7 +197,7 @@ def test_criterion_8_sat_layer_soundness():
         assert (res.status == "sat") == want, (nvars, clauses, assumptions)
         if res.status == "sat":
             assert tt_check_model(clauses, res.model)
-            assert all(res.value(a) for a in assumptions)
+            assert all(lit_value(res.model, a) for a in assumptions)
         else:
             assert set(res.core) <= set(assumptions)
             assert not tt_satisfiable(nvars, clauses + [[a] for a in res.core])

@@ -74,6 +74,14 @@ def test_generate_parse_error_exits_3(tmp_path, capsys):
     assert "empty domain" in capsys.readouterr().err
 
 
+def test_generate_non_ascii_digit_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.rsys"
+    bad.write_text("model m { state x: 0..3 init 0; invariant x <= \u00b2; }", encoding="utf-8")
+    code = run_cli("generate", str(bad), str(CRUISE / "props.props"))
+    assert code == 3
+    assert "unexpected character" in capsys.readouterr().err
+
+
 def test_generate_dot_output(tmp_path):
     f = tmp_path / "g.dot"
     code = run_cli("generate", str(CRUISE / "model.rsys"), str(CRUISE / "props.props"),

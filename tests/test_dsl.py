@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from chainforge.dsl import (format_expr, format_model, format_properties,
                             parse_model, parse_properties, parse_state_set)
 
@@ -169,3 +171,115 @@ def test_golden_model_format(cruise_model):
     golden = Path(__file__).parent / "golden" / "cruise_pretty.rsys"
     printed = format_model(cruise_model)
     assert printed == golden.read_text()
+
+
+# -- one malformed input per error site --------------------------------------
+
+_SMALL = "model m { state x: 0..3 init 0; state e: {A, B} init A; input i: bool; }"
+
+
+def _m(body):
+    return "model m { state x: 0..3 init 0; " + body + " }"
+
+
+ERROR_SITES = [
+    # tokens, syntax and declarations
+    ("model", _m("@"), "unexpected character '@'", 1, 33),
+    ("model", "model m { state x: 0..3 init 0 }", "expected ';', found '}'", 1, 32),
+    ("model", "model m { state state: bool; }",
+     "expected a state variable name, found 'state'", 1, 17),
+    ("model", _m("invariant x <= init;"), "unexpected keyword 'init'", 1, 48),
+    ("model", _m("invariant x <= ;"), "expected an expression, found ';'", 1, 48),
+    ("model", "model m { state e: {A, A} init A; }", "duplicate constants in enum domain", 1, 20),
+    ("model", "model m { state x: 5..2 init 5; }", "empty domain 5..2", 1, 20),
+    ("model", "model m { state b: bool init 1; }", "expected true/false for init of 'b'", 1, 30),
+    ("model", "model m { state x: 0..3 init 7; }", "initial value 7 outside domain 0..3", 1, 30),
+    ("model", "model m { state e: {A, B} init C; }", "'C' is not a constant of {A, B}", 1, 32),
+    ("model", "model m { state x: bool; input x: bool; }", "duplicate name 'x'", 1, 32),
+    ("model", "model m { state a: {P, Q} init P; state b: {P, R} init R; }",
+     "enum constant 'P' clashes with an existing name", 1, 41),
+    ("model", "model m { foo; }", "unexpected 'foo' in model body", 1, 11),
+    # names
+    ("model", _m("input i: bool; assume x == 0;"), "state variable 'x' is not allowed here", 1, 55),
+    ("model", _m("input i: bool; invariant i;"), "input variable 'i' is not allowed here", 1, 58),
+    ("model", _m("trans { x' = y; }"), "undeclared name 'y'", 1, 46),
+    ("model", _m("invariant next(x) == 0;"), "next() is not allowed here", 1, 43),
+    ("props", "property p { assume next(x) == 1; assert true; }",
+     "next() is not allowed here", 1, 21),
+    ("props", "property p { assume true; assert next(i); }",
+     "next() needs a state variable, got 'i'", 1, 34),
+    ("props", "property p { assume true; assert next(zz) == 1; }",
+     "next() needs a state variable, got 'zz'", 1, 34),
+    # sorts: a compound node reports at its first token that is not '('
+    ("model", _m("invariant !x;"), "'!' needs a boolean operand", 1, 43),
+    ("model", _m("invariant x ? x : x;"), "'?' condition must be boolean", 1, 43),
+    ("model", _m("state b: bool; invariant b ? x : b;"),
+     "'? :' branches have different sorts (0..3 vs bool)", 1, 58),
+    ("model", _m("state b: bool; invariant b && x;"), "'&&' needs boolean operands", 1, 58),
+    ("model", _m("state b: bool; invariant b < x;"),
+     "'<' is only defined on bounded integers", 1, 58),
+    ("model", _m("state b: bool; invariant b == x;"),
+     "'==' compares values of different sorts (bool vs 0..3)", 1, 58),
+    ("model", _m("invariant 0 <= ((x)) + (true);"), "'+' needs integer operands", 1, 50),
+    ("model", _m("invariant -1 + true == x;"), "'+' needs integer operands", 1, 43),
+    ("model", "model m {\n  state x: 0..3 init 0;\n  trans {\n    x' = (x\n      + true);\n  }\n}",
+     "'+' needs integer operands", 4, 11),
+    # model items
+    ("model", _m("input i: bool; assume 1;"), "'assume' needs a boolean expression", 1, 48),
+    ("model", _m("invariant x;"), "'invariant' needs a boolean expression", 1, 33),
+    ("model", _m("init x + 1;"), "'init' needs a boolean expression", 1, 33),
+    ("model", _m("input i: bool; trans { i' = true; }"), "'i' is not a state variable", 1, 56),
+    ("model", _m("trans { x' = 0; x' = 1; }"), "duplicate update for 'x'", 1, 49),
+    ("model", _m("trans { x' = true; }"), "update of 'x' is not an integer expression", 1, 41),
+    ("model", "model m { state b: bool; trans { b' = 1; } }",
+     "update of 'b' has sort 1..1, expected bool", 1, 34),
+    ("model", _m("invariant 1 <= x;"),
+     "no state satisfies init together with the invariant", 1, 1),
+    ("model", "model m { input i: bool; assume i && !i; }",
+     "the input assumption is unsatisfiable", 1, 1),
+    # properties and state sets
+    ("props", "property p { assume true; assert true; }\nproperty p { assume true; assert true; }",
+     "duplicate property 'p'", 2, 10),
+    ("props", "property p { assume x; assert true; }",
+     "assume/assert need boolean expressions", 1, 1),
+    ("props", "property p { assume true; assert x + 1; }",
+     "assume/assert need boolean expressions", 1, 1),
+    ("set", "x", "a state set must be a boolean expression", 1, 1),
+    ("set", "x == 0 )", "expected 'eof', found ')'", 1, 8),
+    ("set", "i", "input variable 'i' is not allowed here", 1, 1),
+    ("set", "e == C", "undeclared name 'C'", 1, 6),
+    # two errors: syntax beats resolution and sorts, declarations are
+    # checked as read, then items resolve in order, operands left to right
+    ("model", "model m { state x: bool; invariant y; state z: bool }",
+     "expected ';', found '}'", 1, 53),
+    ("model", _m("invariant x + true == 1; trans { x' = 0 }"), "expected ';', found '}'", 1, 73),
+    ("model", _m("invariant y; trans { x' = z; }"), "undeclared name 'y'", 1, 43),
+    ("model", _m("trans { x' = z; } invariant y;"), "undeclared name 'z'", 1, 46),
+    ("model", _m("invariant y; state x: bool;"), "duplicate name 'x'", 1, 52),
+    ("model", _m("invariant y + true;"), "undeclared name 'y'", 1, 43),
+    ("model", _m("invariant true + y;"), "undeclared name 'y'", 1, 50),
+    ("props", "property p { assume nosuch; assert ; }", "expected an expression, found ';'", 1, 36),
+    ("props", "property p { assume nosuch; assert true; } property q { assume ; }",
+     "undeclared name 'nosuch'", 1, 21),
+    ("props", "property p { assume x; assert zz; }", "undeclared name 'zz'", 1, 31),
+]
+
+
+@pytest.mark.parametrize("entry,text,message,line,col", ERROR_SITES)
+def test_error_sites(entry, text, message, line, col):
+    if entry == "model":
+        result, diags = parse_model(text)
+    else:
+        small, _ = parse_model(_SMALL)
+        parse = parse_properties if entry == "props" else parse_state_set
+        result, diags = parse(text, small)
+    assert not result
+    assert [(d.severity, d.message, d.span.line, d.span.col) for d in diags] == \
+        [("error", message, line, col)]
+
+
+def test_non_ascii_digit_is_an_unexpected_character():
+    m, diags = parse_model("model m { state x: 0..3 init 0; invariant x <= ²; }")
+    assert m is None
+    assert [(d.message, d.span.line, d.span.col) for d in diags] == \
+        [("unexpected character '²'", 1, 48)]

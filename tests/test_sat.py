@@ -2,10 +2,12 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from chainforge.sat import (ExternalSolver, Solver, SolverLimit,
                             make_solver, read_dimacs, write_dimacs)
 
-from util import random_cnf, tt_check_model, tt_satisfiable
+from util import lit_value, random_cnf, tt_check_model, tt_satisfiable
 
 
 def _fill(solver, nvars, clauses):
@@ -66,19 +68,18 @@ def test_incremental_clause_growth():
 
 
 def test_conflict_budget_raises():
-    rng = random.Random(7)
+    # pigeonhole 4 -> 3: unsat after 7 conflicts without a budget
+    pigeons, holes = 4, 3
+    var = lambda i, j: i * holes + j + 1
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    clauses += [[-var(a, j), -var(b, j)] for j in range(holes)
+                for a in range(pigeons) for b in range(a + 1, pigeons)]
     s = Solver(conflict_budget=1)
-    nvars = 16
-    # a small pigeonhole-ish hard instance: forces more than one conflict
-    clauses = random_cnf(rng, nvars, 90)
-    while tt_satisfiable(nvars, clauses):
-        clauses += random_cnf(rng, nvars, 10)
-    _fill(s, nvars, clauses)
-    try:
-        res = s.solve()
-        assert res.status == "unsat"   # solved within budget: acceptable
-    except SolverLimit:
-        pass
+    _fill(s, pigeons * holes, clauses)
+    with pytest.raises(SolverLimit, match="conflict budget exceeded"):
+        s.solve()
+    s.conflict_budget = None
+    assert s.solve().status == "unsat"
 
 
 def test_truth_table_agreement_small_batch():
@@ -109,7 +110,7 @@ def test_models_under_assumptions_respect_them():
         assert (res.status == "sat") == expect
         if res.status == "sat":
             assert tt_check_model(clauses, res.model)
-            assert all(res.value(a) for a in assumptions)
+            assert all(lit_value(res.model, a) for a in assumptions)
         else:
             assert set(res.core) <= set(assumptions)
             # re-solving with only the core stays unsat
@@ -190,7 +191,7 @@ def test_guarded_incremental_truth_table():
             assert (res.status == "sat") == tt_satisfiable(nvars, permanent + extra)
             if res.status == "sat":
                 assert tt_check_model(permanent + extra, res.model)
-                assert res.value(g)
+                assert lit_value(res.model, g)
             elif res.core != [g]:
                 assert res.core == [] and not tt_satisfiable(nvars, permanent)
             s.add_clause([-g])
@@ -198,7 +199,7 @@ def test_guarded_incremental_truth_table():
             assert (res.status == "sat") == tt_satisfiable(nvars, permanent)
             if res.status == "sat":
                 assert tt_check_model(permanent, res.model)
-                assert not res.value(g)
+                assert not lit_value(res.model, g)
             if rng.random() < 0.3:
                 unit = [rng.choice([1, -1]) * rng.randint(1, nvars)]
                 s.add_clause(unit)

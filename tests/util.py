@@ -35,6 +35,11 @@ def tt_satisfiable(nvars: int, clauses) -> bool:
     return acc != 0
 
 
+def lit_value(model, lit: int) -> bool:
+    """Truth of a literal under model (model[v] as in tt_check_model)."""
+    return model[abs(lit)] == (lit > 0)
+
+
 def tt_check_model(clauses, model) -> bool:
     """model[v] is the boolean assigned to var v (1-indexed list)."""
     for clause in clauses:
