@@ -1,5 +1,5 @@
 """chainforge: covering test-chain generation for synchronous reactive
-models — reachability abstraction, circuit optimisation, concretisation
+models — reachability abstraction, shortest-path optimisation, concretisation
 with repair, refinement, and partitioning."""
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 a model/properties pair, `chainforge bench` runs a benchmark suite and
 compares against expected results.
 
-Exit codes: 0 success, 2 no chain found, 3 parse/sort error, 4 timeout or
-solver resource limit.
+Exit codes: 0 success, 2 no chain found, 3 unreadable file or parse/sort
+error, 4 timeout or solver resource limit.
 """
 
 from __future__ import annotations
@@ -27,8 +27,21 @@ EXIT_PARSE = 3
 EXIT_TIMEOUT = 4
 
 
+def _read(path: str, parse=str):
+    """`parse` applied to the file's text, or None after reporting why
+    the file cannot be read."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
+        reason = ex.strerror if isinstance(ex, OSError) else ex
+        print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+        return None
+
+
 def _load_model(path: str):
-    text = Path(path).read_text()
+    text = _read(path)
+    if text is None:
+        return None
     model, diags = parse_model(text, filename=path)
     for d in diags:
         print(str(d), file=sys.stderr)
@@ -36,7 +49,9 @@ def _load_model(path: str):
 
 
 def _load_props(path: str, model: Model):
-    text = Path(path).read_text()
+    text = _read(path)
+    if text is None:
+        return None
     props, diags = parse_properties(text, model, filename=path)
     for d in diags:
         print(str(d), file=sys.stderr)
@@ -87,8 +102,7 @@ def _result_json(model: Model, result: ChainResult, cfg_args) -> dict:
                   "backend": st.backend,
                   "abstract_path": st.abstract_path,
                   "wall_time_s": round(st.wall_time_s, 6)},
-        "config": {"k_max": cfg_args.k_max, "atsp": cfg_args.atsp,
-                   "seed": cfg_args.seed,
+        "config": {"k_max": cfg_args.k_max,
                    "multi_chain": not cfg_args.single_chain},
     }
 
@@ -138,8 +152,7 @@ def cmd_generate(args) -> int:
         return _do_replay(args, model, props, init_expr, final_expr)
 
     deadline = time.monotonic() + args.timeout if args.timeout else None
-    cfg = EngineConfig(k_max=args.k_max, atsp=args.atsp,
-                       allow_partition=not args.single_chain, seed=args.seed,
+    cfg = EngineConfig(k_max=args.k_max, allow_partition=not args.single_chain,
                        exhaust_k=args.exhaust_k,
                        strengthen_invariant=args.strengthen_invariant,
                        deadline=deadline)
@@ -170,7 +183,9 @@ def cmd_generate(args) -> int:
 def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
     """Replay each chain of a report from its recorded start state, which
     must lie in the start-state set."""
-    data = json.loads(Path(args.replay).read_text())
+    data = _read(args.replay, json.loads)
+    if data is None:
+        return EXIT_PARSE
     ok = True
     for ci, chain in enumerate(data.get("chains", [])):
         start = chain["trace"][0]
@@ -211,7 +226,7 @@ def cmd_bench(args) -> int:
             rows.append((bench_dir.name, "-", "-", "-", "-", "-", "parse error"))
             failures += 1
             continue
-        cfg = EngineConfig(k_max=exp.get("k_max", 50), seed=args.seed)
+        cfg = EngineConfig(k_max=exp.get("k_max", 50))
         t0 = time.perf_counter()
         try:
             result = generate_chain(model, props, init_expr, final_expr, cfg)
@@ -262,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--init", help="start-state predicate (default: the model's init)")
     gen.add_argument("--final", help="final-state predicate (default: same as --init)")
     gen.add_argument("--k-max", type=int, default=50, help="reachability bound")
-    gen.add_argument("--atsp", choices=("auto", "exact", "heuristic"), default="auto")
     gen.add_argument("--single-chain", action="store_true",
                      help="fail instead of splitting into multiple chains")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--format", choices=("text", "json", "dot"), default="text")
     gen.add_argument("--timeout", type=float, default=0.0,
                      help="wall-clock limit in seconds (0 = none)")

@@ -15,7 +15,7 @@ from .bmc import Pin, PathCheck, Unrolling, check_path
 from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Not, Property,
                     SPACE_NEXT, SPACE_STATE, SPACE_INPUT, SortError, TestChain,
                     check_spaces, conj, disj, reachable_states, replay, sort_of)
-from .optimizer import (EXACT_LIMIT_DEFAULT, AtspInstance, instance_from_closure,
+from .optimizer import (EXACT_LIMIT, AtspInstance, instance_from_closure,
                         solve_atsp, solve_atsp_exact, tour_to_vertex_path)
 from .reachgraph import (PROP, ReachGraph, WeightCache, build_reach_graph,
                          expand_path, get_covering_path, transitive_closure)
@@ -41,9 +41,7 @@ MAX_ROUNDS = 200
 @dataclass
 class EngineConfig:
     k_max: int = 50
-    atsp: str = "auto"                 # exact | heuristic | auto
     allow_partition: bool = True
-    seed: int = 0
     exhaust_k: bool = False            # resolve every pair up to k_max
     strengthen_invariant: bool = False
     deadline: Optional[float] = None
@@ -379,7 +377,7 @@ def _single_chain(unr: Unrolling, model: Model, props: list[Property],
     for _round in range(MAX_ROUNDS):
         _check_deadline(cfg)
         if vs is None:
-            planned = _plan(g, cfg, stats)
+            planned = _plan(g, stats)
             if planned is None:
                 return None
             vs, ws = planned
@@ -409,9 +407,9 @@ def _single_chain(unr: Unrolling, model: Model, props: list[Property],
     return None
 
 
-def _plan(g: ReachGraph, cfg: EngineConfig, stats: Stats):
+def _plan(g: ReachGraph, stats: Stats):
     """Shortest covering path, expanded to original edges: solve the
-    circuit problem on the closure restricted to the vertices of a
+    path problem on the closure restricted to the vertices of a
     constructive covering path (every vertex on an unrefined graph; on a
     refined one, the member of each group that path uses first).  The
     covering path is a Hamiltonian path over those vertices, so a tour
@@ -424,7 +422,7 @@ def _plan(g: ReachGraph, cfg: EngineConfig, stats: Stats):
     if cover is None:
         return None
     inst = instance_from_closure(closed, keep=cover)
-    tour, stats.backend = solve_atsp(inst, backend=cfg.atsp, seed=cfg.seed)
+    tour, stats.backend = solve_atsp(inst)
     return expand_path(closed, tour_to_vertex_path(inst, tour))
 
 
@@ -454,13 +452,12 @@ def _lower_bound(g: ReachGraph, cache: WeightCache) -> Optional[int]:
     A covering chain visits the properties in the order it first covers
     them, and each segment is no shorter than its pair's bound, so no
     covering chain is shorter than this.  It reads the cache, since
-    repair stretches `g.weights`.  None above EXACT_LIMIT_DEFAULT
-    vertices."""
+    repair stretches `g.weights`.  None above EXACT_LIMIT vertices."""
     base = [v for v in g.vertices if g.group_of[v.idx] == v.idx]
-    if len(base) > EXACT_LIMIT_DEFAULT:
+    if len(base) > EXACT_LIMIT:
         return None
     pid = cache.ids(base)
     cost = [[cache.bound((a, b)) if a != b else 0 for b in pid] for a in pid]
     ids = [v.idx for v in base]
     inst = AtspInstance(ids, cost, ids.index(g.init_idx), ids.index(g.final_idx))
-    return solve_atsp_exact(inst).path_cost
+    return solve_atsp_exact(inst).cost

@@ -1,10 +1,10 @@
-"""Shortest covering path as an asymmetric TSP: close the graph, add the
-designated return edge from final to start, find a minimal circuit, cut
-it back open between final and start.
+"""Shortest covering path as an asymmetric TSP: close the graph and find
+a minimal Hamiltonian path from the start vertex to the final vertex.
 
-Two backends: exact Held-Karp dynamic programming (default up to 16
-vertices) and nearest-neighbour construction with Or-opt segment moves
-for larger instances.  Both are pure functions of (instance, seed).
+The instance size chooses the backend: exact Held-Karp dynamic
+programming up to EXACT_LIMIT vertices, nearest-neighbour construction
+with Or-opt segment moves above it.  Both are pure functions of the
+instance.
 """
 
 from __future__ import annotations
@@ -18,18 +18,14 @@ from .reachgraph import ClosedGraph, insertion_path
 
 INF = math.inf
 
-#: Cost of the designated return edge; it appears in every circuit, so any
-#: constant works.  Reported path lengths subtract it.
-RETURN_EDGE_COST = 1
-
-EXACT_LIMIT_DEFAULT = 16
+#: Largest instance solved by Held-Karp; larger ones take the heuristic.
+EXACT_LIMIT = 16
 
 
 @dataclass
 class AtspInstance:
-    """Circuit problem over vertex ids: cost[i][j] with inf for absent
-    edges, a fixed start (the init vertex) and end (the final vertex),
-    and the implicit end->start return edge of cost RETURN_EDGE_COST."""
+    """Path problem over vertex ids: cost[i][j] with inf for absent
+    edges, a fixed start (the init vertex) and end (the final vertex)."""
     ids: list[int]                      # instance position -> graph vertex id
     cost: list[list[float]]
     start: int                          # position of the init vertex
@@ -42,28 +38,22 @@ class AtspInstance:
 
 @dataclass
 class Tour:
-    """A circuit, stored cut open: order runs start..end and the return
-    edge closes it.  cost includes the return edge."""
+    """A Hamiltonian path: order runs start..end, cost is its length."""
     order: list[int]                    # instance positions, start first, end last
     cost: float
-
-    @property
-    def path_cost(self) -> float:
-        return self.cost - RETURN_EDGE_COST
 
 
 class AtspSizeError(Exception):
     """Instance too large for the exact backend."""
 
 
-def instance_from_closure(closed: ClosedGraph,
-                          keep: Optional[list[int]] = None) -> AtspInstance:
-    """Restrict the closed graph to `keep` (default: all vertices).  With
-    refinement groups collapsed, `keep` is the covering path's choice of
-    one member per group; paths through dropped members survive in the
-    closure distances, which is exactly the composite-edge bypass."""
+def instance_from_closure(closed: ClosedGraph, keep: list[int]) -> AtspInstance:
+    """Restrict the closed graph to `keep`.  With refinement groups
+    collapsed, `keep` is the covering path's choice of one member per
+    group; paths through dropped members survive in the closure
+    distances, which is exactly the composite-edge bypass."""
     g = closed.base
-    ids = sorted(set(keep)) if keep is not None else [v.idx for v in g.vertices]
+    ids = sorted(set(keep))
     pos = {v: i for i, v in enumerate(ids)}
     n = len(ids)
     cost = [[INF] * n for _ in range(n)]
@@ -74,22 +64,23 @@ def instance_from_closure(closed: ClosedGraph,
     return AtspInstance(ids, cost, pos[g.init_idx], pos[g.final_idx])
 
 
-def solve_atsp_exact(inst: AtspInstance, limit: int = EXACT_LIMIT_DEFAULT) -> Optional[Tour]:
-    """Provably minimal circuit by Held-Karp over vertex subsets.  Returns
-    None when no Hamiltonian circuit through finite edges exists."""
+def solve_atsp_exact(inst: AtspInstance) -> Optional[Tour]:
+    """Provably minimal path by Held-Karp over vertex subsets.  Returns
+    None when no Hamiltonian start->end path through finite edges
+    exists."""
     n = inst.n
-    if n > limit:
-        raise AtspSizeError(f"{n} vertices exceeds the exact backend limit {limit}")
+    if n > EXACT_LIMIT:
+        raise AtspSizeError(f"{n} vertices exceeds the exact backend limit {EXACT_LIMIT}")
     s, e = inst.start, inst.end
     if n == 1:
-        return Tour([s], RETURN_EDGE_COST)
+        return Tour([s], 0)
     cost = inst.cost
     mids = [v for v in range(n) if v not in (s, e)]
     m = len(mids)
     if m == 0:
         if cost[s][e] == INF:
             return None
-        return Tour([s, e], cost[s][e] + RETURN_EDGE_COST)
+        return Tour([s, e], cost[s][e])
     # dp[mask][i]: cheapest path s -> mids[i] visiting exactly mask
     dp = [[INF] * m for _ in range(1 << m)]
     parent = [[-1] * m for _ in range(1 << m)]
@@ -125,30 +116,29 @@ def solve_atsp_exact(inst: AtspInstance, limit: int = EXACT_LIMIT_DEFAULT) -> Op
         mask, i = mask ^ (1 << i), parent[mask][i]
     order.append(s)
     order.reverse()
-    return Tour(order, best + RETURN_EDGE_COST)
+    return Tour(order, best)
 
 
 def _tour_cost(inst: AtspInstance, order: list[int]) -> float:
     return sum(inst.cost[a][b] for a, b in zip(order, order[1:]))
 
 
-def solve_atsp_heuristic(inst: AtspInstance, seed: int = 0,
-                         restarts: int = 8) -> Optional[Tour]:
-    """Nearest-neighbour construction (randomised across restarts) plus
+def solve_atsp_heuristic(inst: AtspInstance) -> Optional[Tour]:
+    """Nearest-neighbour construction (8 restarts: the first greedy, the
+    rest picking among the 3 nearest from a fixed seed) plus
     Or-opt local search (segment relocation of 1..3 vertices, orientation
     preserved — suitable for asymmetric costs), seeded with a
     feasibility-first tour from `reachgraph.insertion_path`, the same
     insertion that builds the engine's covering path, here over every
-    vertex in position order.  Deterministic for a given seed; never uses
-    an absent edge."""
+    vertex in position order.  Deterministic; never uses an absent edge."""
     n = inst.n
     s, e = inst.start, inst.end
     mids = [v for v in range(n) if v not in (s, e)]
     if not mids:
         if inst.cost[s][e] == INF:
             return None
-        return Tour([s, e], inst.cost[s][e] + RETURN_EDGE_COST)
-    rng = random.Random(seed)
+        return Tour([s, e], inst.cost[s][e])
+    rng = random.Random(0)
     best_order, best_cost = None, INF
 
     def consider(order):
@@ -162,7 +152,7 @@ def solve_atsp_heuristic(inst: AtspInstance, seed: int = 0,
                           lambda a, b: inst.cost[a][b] < INF)
     if base is not None:
         consider(base)
-    for attempt in range(restarts):
+    for attempt in range(8):
         order = [s]
         rest = list(mids)
         dead = False
@@ -185,7 +175,7 @@ def solve_atsp_heuristic(inst: AtspInstance, seed: int = 0,
         consider(order)
     if best_cost == INF:
         return None
-    return Tour(best_order, best_cost + RETURN_EDGE_COST)
+    return Tour(best_order, best_cost)
 
 
 def _or_opt(inst: AtspInstance, order: list[int]) -> list[int]:
@@ -215,14 +205,12 @@ def _or_opt(inst: AtspInstance, order: list[int]) -> list[int]:
     return order
 
 
-def solve_atsp(inst: AtspInstance, backend: str = "auto",
-               seed: int = 0) -> tuple[Optional[Tour], str]:
-    """Dispatch: exact when it fits within EXACT_LIMIT_DEFAULT vertices
-    (or when demanded, at any size), heuristic otherwise.  Returns (tour,
-    backend actually used)."""
-    if backend == "exact" or (backend == "auto" and inst.n <= EXACT_LIMIT_DEFAULT):
-        return solve_atsp_exact(inst, limit=max(EXACT_LIMIT_DEFAULT, inst.n)), "exact"
-    return solve_atsp_heuristic(inst, seed=seed), "heuristic"
+def solve_atsp(inst: AtspInstance) -> tuple[Optional[Tour], str]:
+    """Held-Karp up to EXACT_LIMIT vertices, the heuristic above it.
+    Returns (tour, backend used)."""
+    if inst.n <= EXACT_LIMIT:
+        return solve_atsp_exact(inst), "exact"
+    return solve_atsp_heuristic(inst), "heuristic"
 
 
 def tour_to_vertex_path(inst: AtspInstance, tour: Tour) -> list[int]:

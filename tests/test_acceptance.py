@@ -84,7 +84,7 @@ def test_criterion_4_minimality_matches_oracle():
         d = reachability_diameter(gen.model)
         # a property-anchored weight spends one step on the covering
         # transition before travelling, so the useful bound is d + 1
-        cfg = EngineConfig(k_max=d + 1, exhaust_k=True, atsp="exact")
+        cfg = EngineConfig(k_max=d + 1, exhaust_k=True)
         res = generate_chain(gen.model, gen.props, gen.init_expr,
                              gen.final_expr, cfg)
         opt = oracle_min_chain(gen.model, gen.props, gen.init_expr,
@@ -147,7 +147,7 @@ def test_criterion_6_atsp_exact_vs_brute_force():
         if want == math.inf:
             assert tour is None
         else:
-            assert tour is not None and tour.path_cost == want
+            assert tour is not None and tour.cost == want
         cases += 1
     assert cases >= 500
     _report(6, f"Held-Karp equals permutation enumeration on {cases} instances")

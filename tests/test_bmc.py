@@ -7,7 +7,8 @@ import pytest
 from chainforge import reachgraph
 from chainforge.bmc import (Pin, Unrolling, check_path, get_kreach_edges,
                             simple_run_exists)
-from chainforge.dsl import parse_properties
+from chainforge.dsl import parse_model, parse_properties, parse_state_set
+from chainforge.engine import generate_chain
 from chainforge.model import TRUE, BinOp, Property, disj, eval_expr, run_trace
 from chainforge.oracle import (int_const, pair_min_weights, random_model,
                                state_eq, table_model)
@@ -197,6 +198,22 @@ def test_failed_path_is_at_least_three_vertices(cruise_model, cruise_final,
     assert res.failed_hi - res.failed_lo >= 2
 
 
+@pytest.mark.parametrize("states, failed", [
+    ((None, 1, 3, None), (0, 2)),
+    ((None, None, 1, 3), (1, 3)),
+    ((0, 2, None, None), (0, 2)),
+])
+def test_check_path_widens_a_narrow_core(states, failed):
+    """On a 4-cycle two pins one step apart that are two states apart
+    form a two-vertex core; it widens to three vertices, to the left
+    unless it starts the path."""
+    model = table_model("cyc", [[1], [2], [3], [0]])
+    pins = [Pin(TRUE if s is None else state_eq(model, s)) for s in states]
+    res = check_path(Unrolling(model), pins, [1, 1, 1])
+    assert not res.feasible
+    assert (res.failed_lo, res.failed_hi) == failed
+
+
 def test_check_path_blames_the_whole_path_without_a_core(cruise_model, cruise_final,
                                                          broken_chain_props):
     """The external backend gives no unsat core, so the failed range is
@@ -207,6 +224,27 @@ def test_check_path_blames_the_whole_path_without_a_core(cruise_model, cruise_fi
     res = check_path(unr, [v.pin() for v in vs], [0, 1, 2])
     assert not res.feasible
     assert (res.failed_lo, res.failed_hi) == (0, 3)
+
+
+def test_state_without_an_update_keeps_its_value():
+    """`y` has no `trans` update, so it stays false in every frame: no
+    path reaches `y` from init, and the chain that drives `x` to 3 keeps
+    `y` false at every step."""
+    model, diags = parse_model("""model keep {
+      state x: 0..3 init 0;
+      state y: bool init false;
+      input a: bool;
+      trans { x' = a ? x + 1 : x; }
+    }""")
+    assert model is not None, [str(d) for d in diags]
+    y, _ = parse_state_set("y", model)
+    unr = Unrolling(model)
+    for k in range(4):
+        assert not check_path(unr, [Pin(model.init_expr()), Pin(y)], [k]).feasible
+    props, _ = parse_properties("property p { assume x == 3; assert true; }", model)
+    res = generate_chain(model, props, model.init_expr(), TRUE)
+    assert [c.length for c in res.chains] == [4]
+    assert [s["y"] for s in res.chains[0].trace] == [False] * 5
 
 
 def test_simple_run_exists_on_a_cycle():

@@ -51,7 +51,7 @@ def test_generate_json_deterministic(tmp_path):
         f = tmp_path / f"r{i}.json"
         assert run_cli("generate", str(CRUISE / "model.rsys"),
                        str(CRUISE / "props.props"), "--final", FINAL,
-                       "--format", "json", "--seed", "1", "--output", str(f)) == 0
+                       "--format", "json", "--output", str(f)) == 0
         data = json.loads(f.read_text())
         del data["stats"]["wall_time_s"]
         outs.append(json.dumps(data, sort_keys=True))
@@ -80,6 +80,30 @@ def test_generate_non_ascii_digit_exits_3(tmp_path, capsys):
     code = run_cli("generate", str(bad), str(CRUISE / "props.props"))
     assert code == 3
     assert "unexpected character" in capsys.readouterr().err
+
+
+def test_generate_missing_model_file_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing.rsys"
+    code = run_cli("generate", str(missing), str(CRUISE / "props.props"))
+    assert code == 3
+    assert f"error: cannot read {missing}: " in capsys.readouterr().err
+
+
+def test_generate_undecodable_model_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.rsys"
+    bad.write_bytes(b"model m { state x: 0..3 init 0; }\xff")
+    code = run_cli("generate", str(bad), str(CRUISE / "props.props"))
+    assert code == 3
+    assert f"error: cannot read {bad}: " in capsys.readouterr().err
+
+
+def test_replay_malformed_report_exits_3(tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_text('{"chains": [')
+    code = run_cli("generate", str(CRUISE / "model.rsys"), str(CRUISE / "props.props"),
+                   "--final", FINAL, "--replay", str(bad))
+    assert code == 3
+    assert f"error: cannot read {bad}: " in capsys.readouterr().err
 
 
 def test_generate_dot_output(tmp_path):

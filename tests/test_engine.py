@@ -356,6 +356,22 @@ def test_no_certificate_above_the_lower_bound():
     assert res.status != MINIMAL
 
 
+def test_large_instance_takes_the_heuristic():
+    """15 properties make 17 vertices, above the exact limit: the path
+    comes from the heuristic, the chain is not certified, and it replays
+    covering every property."""
+    gen = random_model(2, n_states=24, n_inputs=3, n_props=15)
+    res = generate_chain(gen.model, gen.props, gen.init_expr, gen.final_expr,
+                         EngineConfig(k_max=60))
+    assert res.stats.backend == "heuristic"
+    assert res.status == MINIMISED
+    assert len(res.chains) == 1
+    chain = res.chains[0]
+    assert chain.covers.keys() == {p.name for p in gen.props}
+    assert replay(gen.model, gen.props, gen.final_expr, chain.inputs,
+                  start=chain.trace[0]).ok
+
+
 def test_certified_chains_are_minimal_on_random_models():
     """Default configuration: every certified chain has the oracle's
     minimal length, for single- and two-state triggers alike."""

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from chainforge.bmc import Unrolling
-from chainforge.optimizer import (AtspInstance, AtspSizeError, RETURN_EDGE_COST,
+from chainforge.optimizer import (AtspInstance, AtspSizeError,
                                   instance_from_closure, solve_atsp,
                                   solve_atsp_exact, solve_atsp_heuristic,
                                   tour_to_vertex_path)
-from chainforge.reachgraph import build_reach_graph, transitive_closure
+from chainforge.reachgraph import (build_reach_graph, get_covering_path,
+                                   transitive_closure)
 
 from util import brute_atsp_path
 
@@ -37,8 +38,7 @@ def test_three_cycle_unit_costs():
     inst = _inst([[INF, 1, INF], [INF, INF, 1], [1, INF, INF]], start=0, end=2)
     tour = solve_atsp_exact(inst)
     assert tour.order == [0, 1, 2]
-    assert tour.cost == 2 + RETURN_EDGE_COST
-    assert tour.path_cost == 2
+    assert tour.cost == 2
 
 
 def test_exact_equals_brute_force_on_random_instances():
@@ -54,7 +54,7 @@ def test_exact_equals_brute_force_on_random_instances():
         else:
             nontrivial += 1
             assert tour is not None
-            assert tour.path_cost == want
+            assert tour.cost == want
             assert tour.order[0] == inst.start and tour.order[-1] == inst.end
             assert sorted(tour.order) == list(range(n))
     assert nontrivial > 300
@@ -63,7 +63,7 @@ def test_exact_equals_brute_force_on_random_instances():
 def test_exact_refuses_oversize():
     inst = _inst([[1] * 20 for _ in range(20)])
     with pytest.raises(AtspSizeError):
-        solve_atsp_exact(inst, limit=16)
+        solve_atsp_exact(inst)
 
 
 def test_heuristic_sanity_vs_exact():
@@ -72,7 +72,7 @@ def test_heuristic_sanity_vs_exact():
         n = rng.randint(2, 8)
         inst = _rand_instance(rng, n, p_missing=rng.choice((0.0, 0.1)))
         exact = solve_atsp_exact(inst)
-        heur = solve_atsp_heuristic(inst, seed=case)
+        heur = solve_atsp_heuristic(inst)
         if exact is None:
             continue
         if heur is not None:
@@ -81,11 +81,11 @@ def test_heuristic_sanity_vs_exact():
             assert sorted(heur.order) == list(range(n))
 
 
-def test_heuristic_deterministic_per_seed():
+def test_heuristic_two_calls_agree():
     rng = random.Random(23)
     inst = _rand_instance(rng, 9, p_missing=0.1)
-    t1 = solve_atsp_heuristic(inst, seed=5)
-    t2 = solve_atsp_heuristic(inst, seed=5)
+    t1 = solve_atsp_heuristic(inst)
+    t2 = solve_atsp_heuristic(inst)
     assert (t1 is None) == (t2 is None)
     if t1 is not None:
         assert t1.order == t2.order and t1.cost == t2.cost
@@ -93,7 +93,7 @@ def test_heuristic_deterministic_per_seed():
 
 def test_heuristic_none_when_no_circuit():
     inst = _inst([[INF, 1, INF], [INF, INF, INF], [INF, INF, INF]])
-    assert solve_atsp_heuristic(inst, seed=0) is None
+    assert solve_atsp_heuristic(inst) is None
 
 
 def test_forced_order_asymmetric():
@@ -105,7 +105,7 @@ def test_forced_order_asymmetric():
     inst = _inst(cost)
     tour = solve_atsp_exact(inst)
     assert tour.order == [0, 2, 1, 3]
-    heur = solve_atsp_heuristic(inst, seed=1)
+    heur = solve_atsp_heuristic(inst)
     assert heur is not None and heur.order == tour.order
 
 
@@ -122,9 +122,8 @@ def test_heuristic_seeded_by_insertion_when_every_restart_dead_ends():
                 cost[a][b] = rank[b] - rank[a]
     cost[s][v1], cost[s][v2], cost[s][v3], cost[s][v4] = 1, 2, 3, 10
     inst = _inst(cost, start=s, end=e)
-    for seed in range(5):
-        tour = solve_atsp_heuristic(inst, seed=seed)
-        assert tour is not None and tour.order == [s, v4, v1, v2, v3, e]
+    tour = solve_atsp_heuristic(inst)
+    assert tour is not None and tour.order == [s, v4, v1, v2, v3, e]
 
 
 def test_cruise_instance_cut_gives_length_nine(cruise_model, cruise_props,
@@ -132,14 +131,14 @@ def test_cruise_instance_cut_gives_length_nine(cruise_model, cruise_props,
     unr = Unrolling(cruise_model)
     out = build_reach_graph(unr, cruise_props, cruise_final, cruise_final, k_max=50)
     closed = transitive_closure(out.graph)
-    inst = instance_from_closure(closed)
-    tour, backend = solve_atsp(inst, backend="exact")
+    inst = instance_from_closure(closed, keep=[v.idx for v in out.graph.vertices])
+    tour, backend = solve_atsp(inst)
     assert backend == "exact"
-    assert tour.path_cost == 9
+    assert tour.cost == 9
     names = [out.graph.vertices[v].name for v in tour_to_vertex_path(inst, tour)]
     assert names == ["I", "p4", "p1", "p2", "p3", "F"]
-    heur = solve_atsp_heuristic(inst, seed=0)
-    assert heur is not None and heur.path_cost == 9
+    heur = solve_atsp_heuristic(inst)
+    assert heur is not None and heur.cost == 9
 
 
 def test_collapse_drops_member_but_keeps_bypass_distance():
@@ -160,9 +159,12 @@ def test_collapse_drops_member_but_keeps_bypass_distance():
 
 def test_singleton_groups_leave_instance_complete(cruise_model, cruise_props,
                                                   cruise_final):
+    """On an unrefined graph the covering path keeps every vertex, so the
+    instance the engine solves holds them all."""
     unr = Unrolling(cruise_model)
     out = build_reach_graph(unr, cruise_props, cruise_final, cruise_final, k_max=50)
     closed = transitive_closure(out.graph)
-    full = instance_from_closure(closed)
-    kept = instance_from_closure(closed, keep=[v.idx for v in out.graph.vertices])
-    assert full.cost == kept.cost and full.ids == kept.ids
+    cover = get_covering_path(closed)
+    assert sorted(cover) == [v.idx for v in out.graph.vertices]
+    kept = instance_from_closure(closed, keep=cover)
+    assert kept.ids == [v.idx for v in out.graph.vertices]
