@@ -92,7 +92,6 @@ class Unrolling:
     def _assert_transition(self, k: int) -> None:
         m = self.model
         look = self._lookup(k - 1)
-        updated = {n for n, _ in m.transition}
         for name, dom in m.state_vars:
             target = self.state_frames[k][name]
             expr = m.transition_expr(name)

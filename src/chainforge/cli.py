@@ -180,14 +180,35 @@ def cmd_generate(args) -> int:
     return EXIT_OK if result.chains else EXIT_NO_CHAIN
 
 
+def _report_chains(data, model: Model) -> list:
+    """The chains of a parsed report; raises ValueError naming the first
+    part that a replay on `model` cannot read."""
+    def vectors(vecs, decls) -> bool:
+        return isinstance(vecs, list) and all(isinstance(v, dict) and all(
+            n in v and d.contains(v[n]) for n, d in decls) for v in vecs)
+    chains = data.get("chains") if isinstance(data, dict) else None
+    if not isinstance(chains, list) or not all(isinstance(c, dict) for c in chains):
+        raise ValueError("expected an object whose 'chains' is a list of objects")
+    for ci, chain in enumerate(chains, 1):
+        if not chain.get("trace") or not vectors(chain["trace"], model.state_vars):
+            raise ValueError(f"chain {ci}: 'trace' is not a non-empty list of states")
+        if not vectors(chain.get("inputs"), model.inputs):
+            raise ValueError(f"chain {ci}: 'inputs' is not a list of input vectors")
+    return chains
+
+
 def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
     """Replay each chain of a report from its recorded start state, which
     must lie in the start-state set."""
-    data = _read(args.replay, json.loads)
-    if data is None:
+    try:
+        chains = _read(args.replay, lambda text: _report_chains(json.loads(text), model))
+    except ValueError as ex:
+        print(f"error: malformed report {args.replay}: {ex}", file=sys.stderr)
+        return EXIT_PARSE
+    if chains is None:
         return EXIT_PARSE
     ok = True
-    for ci, chain in enumerate(data.get("chains", [])):
+    for ci, chain in enumerate(chains):
         start = chain["trace"][0]
         report = replay(model, props, final_expr, chain["inputs"], start=start)
         same_trace = [dict(s) for s in report.trace] == chain["trace"]

@@ -17,11 +17,12 @@ from `//` to end of line.
 
 Names resolve by deferred builders: the parser turns each expression into
 a function of its scope (the declared names and the variable spaces the
-item may read) that returns the typed `model.Expr`.  A model's items are
-built once every declaration is read, a property once both of its
-expressions are read, a state set at the end of its text.  So a syntax
-error is reported before any name or sort error, declarations are checked
-as they are read, and among the rest the earliest item wins.
+item may read) that returns the `model.Expr` and its sort, each node
+sorted once by `model.node_sort` from its operands' sorts.  A model's
+items are built once every declaration is read, a property once both of
+its expressions are read, a state set at the end of its text.  So a
+syntax error is reported before any name or sort error, declarations are
+checked as they are read, and among the rest the earliest item wins.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 
 from .model import (BOOL, CMP_OPS, BoolDomain, BinOp, Const, Domain,
                     EnumDomain, Expr, IntRange, Ite, Model, Not,
-                    Property, Ref, SortError, StateSpace, eval_expr, sort_of,
+                    Property, Ref, SortError, StateSpace, eval_expr, node_sort,
                     SPACE_INPUT, SPACE_NEXT, SPACE_STATE, TRUE)
 
 KEYWORDS = {"model", "state", "input", "assume", "invariant", "init", "trans",
@@ -133,8 +134,8 @@ def tokenize(text: str, filename: str) -> list[Token]:
 
 
 #: A parsed expression waiting for its scope: given the declared names and
-#: the variable spaces the item may read, it returns the typed Expr.
-Build = Callable[["_Symbols", frozenset], Expr]
+#: the variable spaces the item may read, it returns the Expr and its sort.
+Build = Callable[["_Symbols", frozenset], tuple[Expr, Domain]]
 
 
 class _Parser:
@@ -181,12 +182,20 @@ class _Parser:
         return self.ternary()
 
     def node(self, start: int, make: Callable[..., Expr], *parts: Build) -> Build:
-        """Builder of `make(*parts)`, an expression that began at token
-        `start`; its sort errors point at its first token that is not '('."""
+        """Builder of `make(*parts)`, sorted once from the parts' sorts; its
+        sort errors point at its first token from `start` that is not '('."""
         while self.toks[start].text == "(":
             start += 1
         span = self.toks[start].span
-        return lambda sym, allowed: _typed(make(*[b(sym, allowed) for b in parts]), span)
+
+        def build(sym, allowed):
+            exprs, sorts = zip(*[b(sym, allowed) for b in parts])
+            e = make(*exprs)
+            try:
+                return e, node_sort(e, *sorts)
+            except SortError as ex:
+                raise ParseError(str(ex), span) from ex
+        return build
 
     def ternary(self) -> Build:
         start = self.pos
@@ -248,23 +257,23 @@ class _Parser:
             return e
         if self.at("punct", "-") or t.kind == "int":
             v = self.signed_int()
-            const = Const(v, IntRange(v, v))
-            return lambda sym, allowed: const
+            leaf = _leaf(Const(v, IntRange(v, v)))
+            return lambda sym, allowed: leaf
         if t.kind == "ident":
             if t.text in ("true", "false"):
                 self.next()
-                const = Const(t.text == "true", BOOL)
-                return lambda sym, allowed: const
+                leaf = _leaf(Const(t.text == "true", BOOL))
+                return lambda sym, allowed: leaf
             if t.text == "next":
                 self.next()
                 self.expect("punct", "(")
                 name = self.ident("a state variable name").text
                 self.expect("punct", ")")
-                return lambda sym, allowed: sym.next_ref(name, t.span, allowed)
+                return lambda sym, allowed: _leaf(sym.next_ref(name, t.span, allowed))
             if t.text in KEYWORDS:
                 raise ParseError(f"unexpected keyword '{t.text}'", t.span)
             self.next()
-            return lambda sym, allowed: sym.ref(t.text, t.span, allowed)
+            return lambda sym, allowed: _leaf(sym.ref(t.text, t.span, allowed))
         raise ParseError(f"expected an expression, found '{t.text or t.kind}'", t.span)
 
     # -- domains -------------------------------------------------------------
@@ -351,12 +360,9 @@ class _Symbols:
         return Ref(name, SPACE_NEXT, self.state[name])
 
 
-def _typed(e: Expr, span: SourceSpan) -> Expr:
-    try:
-        sort_of(e)
-    except SortError as ex:
-        raise ParseError(str(ex), span) from ex
-    return e
+def _leaf(e: Expr) -> tuple[Expr, Domain]:
+    """A constant or variable with its sort, its declared domain."""
+    return e, e.domain
 
 
 # ---------------------------------------------------------------------------
@@ -436,50 +442,37 @@ def _parse_model(text: str, filename: str, diags: list[Diagnostic]) -> Model:
     p.expect("punct", "}")
     p.expect("eof")
 
-    assumption: Expr = TRUE
-    invariant: Expr = TRUE
-    init_pred: Expr = TRUE
-    transition: list[tuple[str, Expr]] = []
-    seen_trans: set[str] = set()
-
-    def boolean(build, allowed, span, what):
-        e = build(sym, allowed)
-        if sort_of(e) != BOOL:
-            raise ParseError(f"'{what}' needs a boolean expression", span)
-        return e
-
+    preds: dict[str, Expr] = {"assume": TRUE, "invariant": TRUE, "init": TRUE}
+    transition: dict[str, Expr] = {}
     for kind, build, span in items:
-        if kind == "assume":
-            assumption = boolean(build, frozenset({SPACE_INPUT}), span, kind)
-        elif kind == "invariant":
-            invariant = boolean(build, frozenset({SPACE_STATE}), span, kind)
-        elif kind == "init":
-            init_pred = boolean(build, frozenset({SPACE_STATE}), span, kind)
+        if kind in preds:
+            e, sort = build(sym, frozenset({SPACE_INPUT if kind == "assume" else SPACE_STATE}))
+            if sort != BOOL:
+                raise ParseError(f"'{kind}' needs a boolean expression", span)
+            preds[kind] = e
         else:
             var = kind.split(":", 1)[1]
             if var not in sym.state:
                 raise ParseError(f"'{var}' is not a state variable", span)
-            if var in seen_trans:
+            if var in transition:
                 raise ParseError(f"duplicate update for '{var}'", span)
-            seen_trans.add(var)
-            e = build(sym, frozenset({SPACE_STATE, SPACE_INPUT}))
+            e, src = build(sym, frozenset({SPACE_STATE, SPACE_INPUT}))
             target = sym.state[var]
-            src = sort_of(e)
             if isinstance(target, IntRange):
                 if not isinstance(src, IntRange):
                     raise ParseError(f"update of '{var}' is not an integer expression", span)
             elif src != target:
                 raise ParseError(f"update of '{var}' has sort {src}, expected {target}", span)
-            transition.append((var, e))
+            transition[var] = e
 
     m = Model(name=name,
               state_vars=tuple(state_vars),
               inputs=tuple(inputs),
               init_values=tuple(init_values),
-              init_pred=init_pred,
-              input_assumption=assumption,
-              state_invariant=invariant,
-              transition=tuple(transition))
+              init_pred=preds["init"],
+              input_assumption=preds["assume"],
+              state_invariant=preds["invariant"],
+              transition=tuple(transition.items()))
 
     if m.state_space_size() <= ENUM_CHECK_LIMIT:
         if not any(eval_expr(m.init_pred, s) and eval_expr(m.state_invariant, s)
@@ -519,11 +512,10 @@ def parse_properties(text: str, model: Model, filename: str = "<props>"):
             build_psi = p.expr()
             p.expect("punct", ";")
             p.expect("punct", "}")
-            phi = build_phi(sym, frozenset({SPACE_STATE, SPACE_INPUT}))
-            psi = build_psi(sym, frozenset({SPACE_STATE, SPACE_INPUT, SPACE_NEXT}))
-            for b, span in ((phi, t.span), (psi, t.span)):
-                if sort_of(b) != BOOL:
-                    raise ParseError("assume/assert need boolean expressions", span)
+            phi, phi_sort = build_phi(sym, frozenset({SPACE_STATE, SPACE_INPUT}))
+            psi, psi_sort = build_psi(sym, frozenset({SPACE_STATE, SPACE_INPUT, SPACE_NEXT}))
+            if phi_sort != BOOL or psi_sort != BOOL:
+                raise ParseError("assume/assert need boolean expressions", t.span)
             props.append(Property(name.text, phi, psi))
             if space is not None and next(space.triggered(phi), None) is None:
                 diags.append(Diagnostic(
@@ -553,8 +545,8 @@ def parse_state_set(text: str, model: Model, filename: str = "<expr>"):
         p = _Parser(text, filename)
         build = p.expr()
         p.expect("eof")
-        e = build(_model_symbols(model), frozenset({SPACE_STATE}))
-        if sort_of(e) != BOOL:
+        e, sort = build(_model_symbols(model), frozenset({SPACE_STATE}))
+        if sort != BOOL:
             raise ParseError("a state set must be a boolean expression",
                              SourceSpan(filename, 1, 1, 1, 1))
         return e, diags
@@ -579,8 +571,7 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Ref):
         return f"next({e.name})" if e.space == SPACE_NEXT else e.name
     if isinstance(e, Not):
-        s = "!" + format_expr(e.a, _PREC["!"])
-        return s
+        return "!" + format_expr(e.a, _PREC["!"])
     if isinstance(e, Ite):
         s = (f"{format_expr(e.cond, _PREC['?:'] + 1)} ? {format_expr(e.then, 0)}"
              f" : {format_expr(e.other, _PREC['?:'])}")

@@ -16,6 +16,7 @@ call concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
@@ -194,32 +195,39 @@ def disj(*exprs: Expr) -> Expr:
     return out if out is not None else FALSE
 
 
-def sort_of(e: Expr) -> Domain:
-    """Structural sort of a well-formed expression.
+def operands(e: Expr) -> tuple[Expr, ...]:
+    """The children of `e` in source order, none for a leaf."""
+    if isinstance(e, Not):
+        return (e.a,)
+    if isinstance(e, BinOp):
+        return (e.a, e.b)
+    if isinstance(e, Ite):
+        return (e.cond, e.then, e.other)
+    return ()
 
-    Integer `+`/`-` get the exact interval of their result; `? :` over
-    integers gets the hull of both branches.  Raises SortError on
-    ill-sorted trees.
-    """
-    if isinstance(e, Const):
-        return e.domain
-    if isinstance(e, Ref):
+
+def node_sort(e: Expr, *sorts: Domain) -> Domain:
+    """Sort of the node `e` from the sorts of its `operands`, which are
+    not looked at.  Integer `+`/`-` get the exact interval of their
+    result, `? :` over integers the hull of both branches.  Raises
+    SortError if the node is ill-sorted."""
+    if isinstance(e, (Const, Ref)):
         return e.domain
     if isinstance(e, Not):
-        if sort_of(e.a) != BOOL:
+        if sorts[0] != BOOL:
             raise SortError("'!' needs a boolean operand")
         return BOOL
     if isinstance(e, Ite):
-        if sort_of(e.cond) != BOOL:
+        dc, dt, de = sorts
+        if dc != BOOL:
             raise SortError("'?' condition must be boolean")
-        dt, de = sort_of(e.then), sort_of(e.other)
         if isinstance(dt, IntRange) and isinstance(de, IntRange):
             return IntRange(min(dt.lo, de.lo), max(dt.hi, de.hi))
         if dt != de:
             raise SortError(f"'? :' branches have different sorts ({dt} vs {de})")
         return dt
     if isinstance(e, BinOp):
-        da, db = sort_of(e.a), sort_of(e.b)
+        da, db = sorts
         if e.op in BOOL_OPS:
             if da != BOOL or db != BOOL:
                 raise SortError(f"'{e.op}' needs boolean operands")
@@ -229,8 +237,7 @@ def sort_of(e: Expr) -> Domain:
                 raise SortError(f"'{e.op}' is only defined on bounded integers")
             return BOOL
         if e.op in ("==", "!="):
-            ok = (isinstance(da, IntRange) and isinstance(db, IntRange)) or da == db
-            if not ok:
+            if not (isinstance(da, IntRange) and isinstance(db, IntRange)) and da != db:
                 raise SortError(f"'{e.op}' compares values of different sorts ({da} vs {db})")
             return BOOL
         if e.op in ARITH_OPS:
@@ -243,18 +250,18 @@ def sort_of(e: Expr) -> Domain:
     raise SortError(f"not an expression: {e!r}")
 
 
+def sort_of(e: Expr) -> Domain:
+    """Sort of a whole tree by one `node_sort` per node, operands first
+    and left to right: the first ill-sorted node raises its SortError."""
+    return node_sort(e, *map(sort_of, operands(e)))
+
+
 def refs_of(e: Expr) -> Iterator[Ref]:
+    """Every variable reference in `e`, in source order."""
     if isinstance(e, Ref):
         yield e
-    elif isinstance(e, Not):
-        yield from refs_of(e.a)
-    elif isinstance(e, BinOp):
-        yield from refs_of(e.a)
-        yield from refs_of(e.b)
-    elif isinstance(e, Ite):
-        yield from refs_of(e.cond)
-        yield from refs_of(e.then)
-        yield from refs_of(e.other)
+    for o in operands(e):
+        yield from refs_of(o)
 
 
 def check_spaces(e: Expr, allowed: frozenset[str], what: str) -> None:
@@ -387,16 +394,10 @@ class Model:
     # -- enumeration helpers ------------------------------------------------
 
     def state_space_size(self) -> int:
-        n = 1
-        for _, d in self.state_vars:
-            n *= d.size
-        return n
+        return math.prod(d.size for _, d in self.state_vars)
 
     def input_space_size(self) -> int:
-        n = 1
-        for _, d in self.inputs:
-            n *= d.size
-        return n
+        return math.prod(d.size for _, d in self.inputs)
 
     def all_states(self) -> Iterator[dict[str, Value]]:
         names = [n for n, _ in self.state_vars]

@@ -207,10 +207,7 @@ def random_model(seed: int, n_states: int = 0, n_inputs: int = 0, n_props: int =
     table = [[(s + 1) % n if a == 0 else rng.randrange(n) for a in range(m)]
              for s in range(n)]
     model = table_model(f"rand{seed}", table)
-    sdom = IntRange(0, n - 1)
-    idom = IntRange(0, m - 1)
-    s_ref = Ref("s", SPACE_STATE, sdom)
-    a_ref = Ref("a", SPACE_INPUT, idom)
+    s_ref, a_ref = model.state_ref("s"), model.input_ref("a")
 
     trigger_states = rng.sample(range(n), min(n, k * (2 if multi_state else 1)))
     props: list[Property] = []
@@ -230,7 +227,7 @@ def random_model(seed: int, n_states: int = 0, n_inputs: int = 0, n_props: int =
             v = rng.randrange(m)
             phi = BinOp("&&", phi_state, BinOp("==", a_ref, int_const(v)))
             if c2 is None:
-                psi: Expr = BinOp("==", Ref("s", "next", sdom), int_const(table[c1][v]))
+                psi: Expr = BinOp("==", model.next_ref("s"), int_const(table[c1][v]))
             else:
                 psi = TRUE
         else:

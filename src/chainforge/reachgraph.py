@@ -331,15 +331,6 @@ def exists_covering_path(g: ReachGraph) -> bool:
     return get_covering_path(transitive_closure(g)) is not None
 
 
-def path_weights(closed: ClosedGraph, path: list[int]) -> Optional[list[int]]:
-    ws = []
-    for a, b in zip(path, path[1:]):
-        if not closed.has(a, b):
-            return None
-        ws.append(closed.dist[(a, b)])
-    return ws
-
-
 def expand_path(closed: ClosedGraph, path: list[int]) -> tuple[list[int], list[int]]:
     """Expand a closure-level path to original edges, inserting the
     intermediate vertices the closure routed through."""

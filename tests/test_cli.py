@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from chainforge.cli import main
 
 BENCHES = Path(__file__).parent.parent / "benches"
@@ -104,6 +106,31 @@ def test_replay_malformed_report_exits_3(tmp_path, capsys):
                    "--final", FINAL, "--replay", str(bad))
     assert code == 3
     assert f"error: cannot read {bad}: " in capsys.readouterr().err
+
+
+_STATE = {"mode": "OFF", "speed": 0, "enable": False}
+
+
+@pytest.mark.parametrize("report,reason", [
+    ([], "expected an object whose 'chains' is a list of objects"),
+    (None, "expected an object whose 'chains' is a list of objects"),
+    ({"chains": 5}, "expected an object whose 'chains' is a list of objects"),
+    ({"chains": [{}]}, "chain 1: 'trace' is not a non-empty list of states"),
+    ({"chains": [{"trace": [], "inputs": []}]},
+     "chain 1: 'trace' is not a non-empty list of states"),
+    ({"chains": [{"trace": [{**_STATE, "speed": "fast"}], "inputs": []}]},
+     "chain 1: 'trace' is not a non-empty list of states"),
+    ({"chains": [{"trace": [_STATE, _STATE], "inputs": [{"gas": True}]}]},
+     "chain 1: 'inputs' is not a list of input vectors"),
+], ids=["list", "null", "chains-not-a-list", "chain-without-trace", "empty-trace",
+        "state-value-outside-domain", "input-vector-missing-names"])
+def test_replay_report_of_the_wrong_shape_exits_3(tmp_path, capsys, report, reason):
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(report))
+    code = run_cli("generate", str(CRUISE / "model.rsys"), str(CRUISE / "props.props"),
+                   "--final", FINAL, "--replay", str(bad))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: malformed report {bad}: {reason}\n"
 
 
 def test_generate_dot_output(tmp_path):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from chainforge import dsl, model
 from chainforge.dsl import (format_expr, format_model, format_properties,
                             parse_model, parse_properties, parse_state_set)
 
@@ -224,6 +225,9 @@ ERROR_SITES = [
     ("model", _m("invariant -1 + true == x;"), "'+' needs integer operands", 1, 43),
     ("model", "model m {\n  state x: 0..3 init 0;\n  trans {\n    x' = (x\n      + true);\n  }\n}",
      "'+' needs integer operands", 4, 11),
+    # an ill-sorted operand is reported before its ill-sorted parent
+    ("model", _m("invariant x ? true + 1 : x;"), "'+' needs integer operands", 1, 47),
+    ("model", _m("invariant (true + 1) == (x && true);"), "'+' needs integer operands", 1, 44),
     # model items
     ("model", _m("input i: bool; assume 1;"), "'assume' needs a boolean expression", 1, 48),
     ("model", _m("invariant x;"), "'invariant' needs a boolean expression", 1, 33),
@@ -283,3 +287,25 @@ def test_non_ascii_digit_is_an_unexpected_character():
     assert m is None
     assert [(d.message, d.span.line, d.span.col) for d in diags] == \
         [("unexpected character '²'", 1, 48)]
+
+
+def test_parser_sorts_each_compound_node_once(monkeypatch):
+    """A long chain is typed in one walk: `node_sort` runs once per
+    compound node (two per conjunct, one per `&&`) and no subtree is
+    re-sorted by `sort_of`."""
+    calls = {"node_sort": 0, "sort_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dsl, "node_sort", counted("node_sort", model.node_sort))
+    # dsl does not import sort_of; should it ever, the call is counted
+    monkeypatch.setattr(dsl, "sort_of", counted("sort_of", model.sort_of), raising=False)
+    monkeypatch.setattr(model, "sort_of", counted("sort_of", model.sort_of))
+    chain = " && ".join(["(b || !b)"] * 400)
+    m, diags = parse_model(f"model m {{ state b: bool init false; invariant {chain}; }}")
+    assert m is not None and diags == []
+    assert calls == {"node_sort": 3 * 400 - 1, "sort_of": 0}

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from chainforge.model import (BOOL, TRUE, BinOp, BoolDomain, Const, EnumDomain,
-                              EvalError, IntRange, Model, ModelError,
+                              EvalError, IntRange, Ite, Model, ModelError,
                               Not, Property, Ref, SortError, StateSpace,
                               eval_expr, replay, run_trace,
                               reachable_states, sort_of, step)
@@ -53,6 +53,15 @@ def test_sort_errors():
         sort_of(BinOp("==", Const("A", enum), Const(1, dom)))
     with pytest.raises(SortError):
         IntRange(5, 2)
+
+
+def test_sort_of_reports_an_operand_before_its_node():
+    # both the condition and the then-branch are ill-sorted; the branch's
+    # own node is sorted first, as the parser sorts it
+    x = Ref("x", "state", IntRange(0, 3))
+    bad = Ite(x, BinOp("+", TRUE, Const(1, IntRange(1, 1))), x)
+    with pytest.raises(SortError, match=r"^'\+' needs integer operands$"):
+        sort_of(bad)
 
 
 def _counter_model(transition=()):
