@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .dsl import parse_model, parse_properties, parse_state_set
 from .engine import EngineConfig, FAILED, ChainResult, generate_chain
-from .model import Model, SortError, TestChain, eval_expr, replay
+from .model import Model, ModelError, SortError, TestChain, eval_expr, replay
 from .oracle import OracleLimit, oracle_min_chain, random_baseline
 from .sat import SolverLimit
 
@@ -210,7 +210,12 @@ def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
     ok = True
     for ci, chain in enumerate(chains):
         start = chain["trace"][0]
-        report = replay(model, props, final_expr, chain["inputs"], start=start)
+        try:
+            report = replay(model, props, final_expr, chain["inputs"], start=start)
+        except ModelError as ex:
+            ok = False
+            print(f"chain {ci + 1}: replay MISMATCH ({ex})")
+            continue
         same_trace = [dict(s) for s in report.trace] == chain["trace"]
         same_covers = report.covers == chain.get("covers", {})
         status = ("ok" if eval_expr(init_expr, start) and report.ok and same_trace

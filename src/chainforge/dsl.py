@@ -75,6 +75,16 @@ class ParseError(Exception):
         self.diagnostic = Diagnostic("error", message, span)
 
 
+def _error(ex: Exception, filename: str) -> Diagnostic:
+    """A ParseError's diagnostic.  The parser and its checks recurse per
+    level of an expression tree, so a RecursionError means a tree too
+    deep for the interpreter; it is reported at the file's start."""
+    if isinstance(ex, RecursionError):
+        return Diagnostic("error", "expression nests too deeply",
+                          SourceSpan(filename, 1, 1, 1, 1))
+    return ex.diagnostic
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str  # "ident", "int", "punct", "eof"
@@ -378,8 +388,8 @@ def parse_model(text: str, filename: str = "<model>"):
     diags: list[Diagnostic] = []
     try:
         m = _parse_model(text, filename, diags)
-    except ParseError as ex:
-        diags.append(ex.diagnostic)
+    except (ParseError, RecursionError) as ex:
+        diags.append(_error(ex, filename))
         return None, diags
     return m, diags
 
@@ -522,8 +532,8 @@ def parse_properties(text: str, model: Model, filename: str = "<props>"):
                     "warning",
                     f"trigger of '{name.text}' is unsatisfiable under the state invariant",
                     name.span))
-    except ParseError as ex:
-        diags.append(ex.diagnostic)
+    except (ParseError, RecursionError) as ex:
+        diags.append(_error(ex, filename))
         return [], diags
     return props, diags
 
@@ -550,8 +560,8 @@ def parse_state_set(text: str, model: Model, filename: str = "<expr>"):
             raise ParseError("a state set must be a boolean expression",
                              SourceSpan(filename, 1, 1, 1, 1))
         return e, diags
-    except ParseError as ex:
-        diags.append(ex.diagnostic)
+    except (ParseError, RecursionError) as ex:
+        diags.append(_error(ex, filename))
         return None, diags
 
 

@@ -1,7 +1,8 @@
 """End-to-end chain generation: build the weighted abstraction, optimise
 a covering path over it, concretise the path, and escalate through chain
-repair, vertex-splitting refinement, and property-set partitioning when
-concretisation fails (cheapest remedy first).
+repair, vertex-splitting refinement, and one property-set partition,
+whose classes are chained once each, when concretisation fails
+(cheapest remedy first).
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Not, Property,
                     check_spaces, conj, disj, reachable_states, replay, sort_of)
 from .optimizer import (EXACT_LIMIT, AtspInstance, instance_from_closure,
                         solve_atsp, solve_atsp_exact, tour_to_vertex_path)
-from .reachgraph import (PROP, ReachGraph, WeightCache, build_reach_graph,
-                         expand_path, get_covering_path, transitive_closure)
+from .reachgraph import (PROP, BuildOutcome, ReachGraph, WeightCache,
+                         build_reach_graph, expand_path, get_covering_path,
+                         transitive_closure)
 
 MINIMAL = "minimal-certified"
 MINIMISED = "minimised"
 MULTI = "multi-chain"
 FAILED = "failed"
 
-#: Why partitioning fails when it has nothing to split (it is disabled,
-#: there is one property, or no pair conflicts) and no single chain
-#: covers the set.
+#: Why a property set or a partition class has no single chain, and
+#: partitioning has nothing to split (it is disabled, there is one
+#: property, or no pair conflicts).
 NO_SINGLE_CHAIN = "no single chain covers the property set"
 
 #: Fixed limits of the concretisation loop: other arrival states repair
@@ -288,81 +290,75 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
 def _generate(unr: Unrolling, model: Model, props: list[Property],
               init_expr: Expr, final_expr: Expr, cfg: EngineConfig,
               cache: WeightCache, stats: Stats) -> ChainResult:
-    out = build_reach_graph(unr, props, init_expr, final_expr, cfg.k_max,
-                            exhaust=cfg.exhaust_k, cache=cache)
-    stats.k_reached = max(stats.k_reached, out.graph.k_stop)
+    """Chain the whole property set; when no single chain covers it,
+    partition the set once and chain each class once, never splitting a
+    class again."""
 
-    def rebuild_complete() -> ReachGraph:
+    def build(ps: list[Property], exhaust: bool) -> BuildOutcome:
+        out = build_reach_graph(unr, ps, init_expr, final_expr, cfg.k_max,
+                                exhaust=exhaust, cache=cache)
+        stats.k_reached = max(stats.k_reached, out.graph.k_stop)
+        return out
+
+    def chain(ps: list[Property]) -> tuple[Optional[ChainResult], BuildOutcome]:
+        out = build(ps, cfg.exhaust_k)
         # refinement needs the full pairwise picture, not just the edges
         # found before the first covering path appeared
-        full = build_reach_graph(unr, props, init_expr, final_expr, cfg.k_max,
-                                 exhaust=True, cache=cache)
-        stats.k_reached = max(stats.k_reached, full.graph.k_stop)
-        return full.graph
+        rebuild = None if cfg.exhaust_k else lambda: build(ps, True).graph
+        return _single_chain(unr, model, ps, out.graph, cfg, cache, stats, rebuild), out
 
-    single = _single_chain(unr, model, props, out.graph, cfg, cache, stats,
-                           rebuild=None if cfg.exhaust_k else rebuild_complete)
+    def bounded(reason: str, out: BuildOutcome) -> str:
+        if out.status != "bound-exceeded":
+            return reason
+        detail = "" if reason == NO_SINGLE_CHAIN else f" ({reason})"
+        return f"no chain found for given bound {cfg.k_max}{detail}"
+
+    single, out = chain(props)
     if single is not None:
         return single
-    res = _try_partition(unr, model, props, init_expr, final_expr, cfg,
-                         cache, stats, out.graph)
-    if res.chains or out.status != "bound-exceeded":
-        return res
-    detail = "" if res.reason == NO_SINGLE_CHAIN else f" ({res.reason})"
-    return ChainResult([], FAILED,
-                       f"no chain found for given bound {cfg.k_max}{detail}",
-                       graph=res.graph)
+    g, reason, classes = out.graph, NO_SINGLE_CHAIN, []
+    if cfg.allow_partition and len(props) > 1:
+        # the partition needs the complete pairwise picture up to the bound
+        g = build(props, True).graph
+        reason, classes = _partition(g)
+        stats.partitions = len(classes)
+    chains: list[TestChain] = []
+    for names in classes:
+        res, sub_out = chain([p for p in props if p.name in names])
+        if res is None:
+            reason = (f"partition class {sorted(names)} failed: "
+                      f"{bounded(NO_SINGLE_CHAIN, sub_out)}")
+            break
+        chains.extend(res.chains)
+    if not reason:
+        return ChainResult(chains, MULTI, graph=g)
+    return ChainResult([], FAILED, bounded(reason, out), graph=g)
 
 
-def _try_partition(unr: Unrolling, model: Model, props: list[Property],
-                   init_expr: Expr, final_expr: Expr, cfg: EngineConfig,
-                   cache: WeightCache, stats: Stats,
-                   g: ReachGraph) -> ChainResult:
-    """Split the property set into the fewest classes that hold no
-    conflicting pair (two properties with no k-reach weight within the
-    bound in either direction) and chain each class on its own.  Without a
-    conflicting pair there is nothing to split, no single chain covers
-    the set, and the run fails here.  A class keeps the same cached
-    direct weights and so has no conflicting pair: when no single chain
-    covers it, its own partition step fails too."""
-    if not cfg.allow_partition or len(props) <= 1:
-        return ChainResult([], FAILED, NO_SINGLE_CHAIN, graph=g)
-    # the partition needs the complete pairwise picture up to the bound
-    full = build_reach_graph(unr, props, init_expr, final_expr, cfg.k_max,
-                             exhaust=True, cache=cache)
-    g = full.graph
-    stats.k_reached = max(stats.k_reached, g.k_stop)
+def _partition(g: ReachGraph) -> tuple[str, list[set[str]]]:
+    """("", the fewest classes of property names with no conflicting
+    pair inside one class) on the complete graph `g`; two properties
+    conflict when neither has a direct weight to the other.  A class
+    keeps these weights, so it never needs splitting again.  Without a
+    conflict, or with a property off every chain, (the reason, [])."""
     closed = transitive_closure(g)
     I, F = g.init_idx, g.final_idx
     prop_idxs = [v.idx for v in g.vertices if v.kind == PROP]
     for v in prop_idxs:
         if not closed.has(I, v):
-            return ChainResult([], FAILED,
-                               f"'{g.vertices[v].name}' is unreachable from the "
-                               f"start states within the bound", graph=g)
+            return (f"'{g.vertices[v].name}' is unreachable from the start "
+                    f"states within the bound", [])
         if not closed.has(v, F):
-            return ChainResult([], FAILED,
-                               f"the final states are unreachable from "
-                               f"'{g.vertices[v].name}' within the bound", graph=g)
+            return (f"the final states are unreachable from "
+                    f"'{g.vertices[v].name}' within the bound", [])
     # conflicts come from direct weights: composing two closure edges
     # through a multi-state trigger may join different states of it
     conflicts = [(a, b) for i, a in enumerate(prop_idxs) for b in prop_idxs[i + 1:]
                  if (a, b) not in g.weights and (b, a) not in g.weights]
     if not conflicts:
-        return ChainResult([], FAILED, NO_SINGLE_CHAIN, graph=g)
-    classes = partition_vertex_sets(prop_idxs, conflicts)
-    stats.partitions = max(stats.partitions, len(classes))
-    chains: list[TestChain] = []
-    name_of = {v.idx: v.name for v in g.vertices}
-    for cls in classes:
-        sub = [p for p in props if p.name in {name_of[i] for i in cls}]
-        res = _generate(unr, model, sub, init_expr, final_expr, cfg, cache, stats)
-        if not res.chains:
-            return ChainResult([], FAILED,
-                               f"partition class {sorted(p.name for p in sub)} "
-                               f"failed: {res.reason}", graph=g)
-        chains.extend(res.chains)
-    return ChainResult(chains, MULTI, graph=g)
+        return NO_SINGLE_CHAIN, []
+    return "", [{g.vertices[i].name for i in cls}
+                for cls in partition_vertex_sets(prop_idxs, conflicts)]
 
 
 def _single_chain(unr: Unrolling, model: Model, props: list[Property],

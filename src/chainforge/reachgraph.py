@@ -104,10 +104,10 @@ def make_vertices(props, init_expr: Expr, final_expr: Expr) -> list[Vertex]:
 
 
 class WeightCache:
-    """Shared across partitioned sub-runs so pair weights are only ever
-    queried once.  A pair is keyed by its two vertices' pin ids (`ids`):
-    the pins say all a query asks of a vertex, while a name may be any
-    property's, `I` and `F` included."""
+    """Shared by every build of a run, partition classes included, so
+    pair weights are only ever queried once.  A pair is keyed by its two
+    vertices' pin ids (`ids`): the pins say all a query asks of a vertex,
+    while a name may be any property's, `I` and `F` included."""
 
     def __init__(self):
         self.weight: dict[tuple[int, int], int] = {}
@@ -159,8 +159,9 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     covering step (`simple_run_exists`).  If not, its open pairs are
     unreachable at every depth; they are recorded as checked to k_max
     and leave the build, and a later build over the same cache starts
-    without them.  If so, the source is not asked again before depth
-    2k, so a source with a long simple run costs O(log k_max) queries.
+    without them.  If so, it is not asked again while k + 1 < 2m - 1 for
+    its longest known simple run of m states (`Unrolling.simple_runs`),
+    so a long simple run costs O(log k_max) queries.
 
     The status is "path" when a covering path exists at the end, else
     "bound-exceeded".  Each graph state is closed at most once: the
@@ -171,7 +172,6 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     pid = cache.ids(g.vertices)
     remaining = {(a, b) for (a, b) in target_pairs(g)
                  if cache.bound((pid[a], pid[b])) <= k_max}
-    next_ask: dict[int, int] = {}
     covered: Optional[bool] = None
     k = 0
     while remaining and k <= k_max:
@@ -212,7 +212,7 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
         if resolved:
             covered = None
         elif 0 < k < k_max:
-            _drop_bounded_sources(unr, g, remaining, cache, k, k_max, next_ask)
+            _drop_bounded_sources(unr, g, pid, remaining, cache, k, k_max)
         k += 1
     g.k_stop = min(max(k - 1, 0), k_max)
     if covered is None:
@@ -220,23 +220,22 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     return BuildOutcome(g, "path" if covered else "bound-exceeded")
 
 
-def _drop_bounded_sources(unr: Unrolling, g: ReachGraph, remaining: set,
-                          cache: WeightCache, k: int, k_max: int,
-                          next_ask: dict[int, int]) -> None:
+def _drop_bounded_sources(unr: Unrolling, g: ReachGraph, pid: list[int],
+                          remaining: set, cache: WeightCache, k: int,
+                          k_max: int) -> None:
     """Ask each source with open pairs (remaining, no known weight), in
     index order, whether k + 1 distinct states can follow its covering
-    step.  Every open pair has no witness of k steps or fewer, so on a
-    no its open pairs are unreachable at any depth."""
-    pid = cache.ids(g.vertices)
+    step, on the schedule above.  Every open pair has no witness of k
+    steps or fewer, so on a no its open pairs are unreachable at any
+    depth."""
     open_pairs: dict[int, list[tuple[int, int]]] = {}
     for (a, b) in sorted(remaining):
         if (pid[a], pid[b]) not in cache.weight:
             open_pairs.setdefault(a, []).append((a, b))
     for a, pairs in open_pairs.items():
-        if next_ask.get(a, 0) > k:
-            continue
-        if simple_run_exists(unr, g.vertices[a].pin(), k + 1):
-            next_ask[a] = 2 * k
+        pin = g.vertices[a].pin()
+        known = unr.simple_runs.get(pin, (0, math.inf))[0]
+        if k + 1 < 2 * known - 1 or simple_run_exists(unr, pin, k + 1):
             continue
         for (x, y) in pairs:
             cache.checked_to[(pid[x], pid[y])] = k_max

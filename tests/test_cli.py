@@ -99,6 +99,17 @@ def test_generate_undecodable_model_file_exits_3(tmp_path, capsys):
     assert f"error: cannot read {bad}: " in capsys.readouterr().err
 
 
+def test_generate_deeply_nested_model_exits_3(tmp_path, capsys):
+    deep = tmp_path / "deep.rsys"
+    chain = " && ".join(["b"] * 1000)
+    deep.write_text(f"model m {{ state b: bool init true; invariant {chain}; }}")
+    props = tmp_path / "p.props"
+    props.write_text("property p { assume b; assert true; }")
+    code = run_cli("generate", str(deep), str(props))
+    assert code == 3
+    assert capsys.readouterr().err == f"{deep}:1:1: error: expression nests too deeply\n"
+
+
 def test_replay_malformed_report_exits_3(tmp_path, capsys):
     bad = tmp_path / "report.json"
     bad.write_text('{"chains": [')
@@ -225,3 +236,27 @@ def test_replay_starts_from_the_recorded_start_state(tmp_path, capsys):
     code = run_cli("generate", *files, "--final", FINAL, "--replay", str(report))
     assert code == 2
     assert "chain 1: replay MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda c: c["inputs"][0].update(dict.fromkeys(c["inputs"][0], False)),
+     "violates the input assumption"),
+    (lambda c: c["trace"][0].update(mode="ON", speed=0, enable=False),
+     "violates the state invariant"),
+], ids=["all-false-inputs", "start-outside-invariant"])
+def test_replay_of_a_chain_illegal_for_the_model_is_a_mismatch(tmp_path, capsys,
+                                                                 edit, error):
+    """A well-shaped chain that the model cannot run replays as a mismatch
+    naming the model's complaint, not as a crash."""
+    report = tmp_path / "report.json"
+    files = (str(CRUISE / "model.rsys"), str(CRUISE / "props.props"))
+    assert run_cli("generate", *files, "--final", FINAL, "--format", "json",
+                   "--output", str(report)) == 0
+    data = json.loads(report.read_text())
+    edit(data["chains"][0])
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run_cli("generate", *files, "--final", FINAL, "--replay", str(report))
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("chain 1: replay MISMATCH (") and error in out

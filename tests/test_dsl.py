@@ -289,6 +289,25 @@ def test_non_ascii_digit_is_an_unexpected_character():
         [("unexpected character '²'", 1, 48)]
 
 
+def test_too_deep_an_expression_is_a_diagnostic():
+    """A tree deeper than the recursion limit allows is an error
+    diagnostic from every entry point; 400 conjuncts still parse."""
+    chain = lambda n: " && ".join(["b"] * n)
+    m, diags = parse_model(f"model m {{ state b: bool init true; invariant {chain(400)}; }}")
+    assert m is not None and diags == []
+    too_deep = [("error", "expression nests too deeply", 1, 1)]
+    bad, diags = parse_model(f"model m {{ state b: bool init true; invariant {chain(1000)}; }}")
+    assert bad is None
+    assert [(d.severity, d.message, d.span.line, d.span.col) for d in diags] == too_deep
+    props, diags = parse_properties(f"property p {{ assume {chain(1000)}; assert true; }}", m)
+    assert props == []
+    assert [(d.severity, d.message, d.span.line, d.span.col) for d in diags] == too_deep
+    for text in (chain(1000), "(" * 1000 + "b" + ")" * 1000, "!" * 1000 + "b"):
+        e, diags = parse_state_set(text, m)
+        assert e is None
+        assert [(d.severity, d.message, d.span.line, d.span.col) for d in diags] == too_deep
+
+
 def test_parser_sorts_each_compound_node_once(monkeypatch):
     """A long chain is typed in one walk: `node_sort` runs once per
     compound node (two per conjunct, one per `&&`) and no subtree is

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -243,6 +244,27 @@ def test_partition_stops_on_a_conflict_free_unchainable_set():
                          EngineConfig(k_max=6))
     assert res.status == FAILED
     assert res.reason == "no single chain covers the property set"
+
+
+def test_a_class_without_a_chain_fails_the_run():
+    """The partition makes two classes and the class ['p1'] has no chain
+    within the bound on its own: the run fails naming that class and its
+    own chain attempt's reason, and no class is split again."""
+    gen = random_model(77, n_states=7, n_inputs=2, n_props=3, multi_state=True)
+    res = generate_chain(gen.model, gen.props, gen.init_expr, gen.final_expr,
+                         EngineConfig(k_max=2))
+    assert res.status == FAILED and not res.chains
+    assert res.reason == "partition class ['p1'] failed: no chain found for given bound 2"
+    assert res.stats.partitions == 2
+
+
+def test_generation_deadline_is_checked_by_the_engine(cruise_model, cruise_props,
+                                                      cruise_final):
+    """A solver without a deadline still stops at the engine's own check."""
+    from chainforge.sat import Solver, SolverLimit
+    cfg = EngineConfig(deadline=time.monotonic() - 1.0, solver_factory=Solver)
+    with pytest.raises(SolverLimit, match="generation deadline exceeded"):
+        generate_chain(cruise_model, cruise_props, cruise_final, cruise_final, cfg)
 
 
 def _props_of(model, text):
