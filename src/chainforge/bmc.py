@@ -1,15 +1,15 @@
 """Bounded-model-checking queries over the unrolled transition relation.
 
-One `Unrolling` owns one solver instance and grows monotonically: raising
-the horizon only appends clauses, so all queries (single-pair
-reachability, batched k-reach edge enumeration, full path concretisation)
-share learned state.  Query-specific constraints are attached through
-fresh guard and selector literals: guards are passed as assumptions, and
-every guard and selector is retired (fixed false at level 0) once its
-query is done, so the clauses it carried are satisfied for good and later
-solves never assign or propagate them.  The only gates a query adds are
-trigger encodings, which `pred_lit` caches for every later query; the
-difference bits of `simple_run_exists` are fixed false with its guard.
+One `Unrolling` owns one solver instance and everything valid only for
+its formula: it grows monotonically (raising the horizon only appends
+clauses), so all queries share learned state, and it keeps the run's
+memos: `pred_lit`'s trigger encodings, the pair weights and checked
+depths of the k-reach build, and the simple-run answers, keyed by pin id.
+A query attaches its constraints through fresh literals from
+`Unrolling.scope()`; guards are passed as assumptions, and on leaving the
+scope, even when the solve raises, every literal it handed out is fixed
+false at level 0, so its clauses are satisfied for good and later solves
+never assign or propagate them.
 
 `simple_run_exists` bounds depth rather than probing it: it tells the
 k-reach build when deeper queries from a source can find nothing (the
@@ -19,14 +19,14 @@ recurrence diameter as a completeness threshold).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from itertools import accumulate, combinations
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import sat
 from .encode import Gates, alloc_var, assert_assignment, decode_var, encode_expr
-from .model import (Expr, Model, SPACE_NEXT, SPACE_STATE, SPACE_INPUT, TRUE,
-                    eval_expr, refs_of)
+from .model import Expr, Model, SPACE_STATE, SPACE_INPUT, TRUE, eval_expr
 
 
 class BmcError(Exception):
@@ -53,7 +53,8 @@ class PathCheck:
 
 class Unrolling:
     """Transition relation unrolled step by step, with the input
-    assumption and the state invariant asserted at every frame."""
+    assumption and the state invariant asserted at every frame, and the
+    memos of every query asked of it."""
 
     def __init__(self, model: Model, solver=None, invariant: Optional[Expr] = None):
         self.model = model
@@ -62,11 +63,13 @@ class Unrolling:
         self.invariant = invariant if invariant is not None else model.state_invariant
         self.state_frames: list[dict] = []
         self.input_frames: list[dict] = []
-        # expr -> (literal per step, whether expr reads the next state)
-        self._encoded: dict[Expr, tuple[dict[int, int], bool]] = {}
-        # source pin -> (longest m known to have a simple run, shortest m
-        # known to have none)
-        self.simple_runs: dict[Pin, tuple[int, float]] = {}
+        self._encoded: dict[Expr, dict[int, int]] = {}   # expr -> step -> literal
+        self._pin_ids: dict[Pin, int] = {}
+        # (source, target) pin ids -> minimal witnessed depth / depth checked to
+        self.weight: dict[tuple[int, int], int] = {}
+        self.checked_to: dict[tuple[int, int], int] = {}
+        # source pin id -> (longest m with a simple run, shortest m without)
+        self.simple_runs: dict[int, tuple[int, float]] = {}
         self._add_frame()
 
     # -- frames ---------------------------------------------------------------
@@ -84,10 +87,10 @@ class Unrolling:
         if k > 0:
             self._assert_transition(k)
         if self.invariant is not TRUE:
-            self.solver.add_clause([self.pred_lit(self.invariant, k, grow=False)])
+            self.solver.add_clause([self.pred_lit(self.invariant, k)])
         if self.model.input_assumption is not TRUE:
             self.solver.add_clause(
-                [self.pred_lit(self.model.input_assumption, k, grow=False)])
+                [self.pred_lit(self.model.input_assumption, k)])
 
     def _assert_transition(self, k: int) -> None:
         m = self.model
@@ -113,33 +116,50 @@ class Unrolling:
             return self.state_frames[k + 1][name]
         return look
 
-    def pred_lit(self, expr: Expr, k: int, grow: bool = True) -> int:
+    def pred_lit(self, expr: Expr, k: int) -> int:
         """Literal equivalent to `expr` evaluated at step k (next-state
-        references resolve to step k+1)."""
-        enc = self._encoded.get(expr)
-        if enc is None:
-            reads_next = any(r.space == SPACE_NEXT for r in refs_of(expr))
-            enc = self._encoded[expr] = ({}, reads_next)
-        lits, reads_next = enc
-        if grow:
-            self.ensure(k + 1 if reads_next else k)
+        references resolve to step k+1, which must already be unrolled)."""
+        lits = self._encoded.setdefault(expr, {})
         lit = lits.get(k)
         if lit is None:
             lit = lits[k] = encode_expr(expr, self.gates, self._lookup(k))
         return lit
 
+    # -- memos ----------------------------------------------------------------
+
+    def pin_id(self, pin: Pin) -> int:
+        """The pin's id; equal pins get equal ids.  The pins say all a
+        query asks of a vertex, while a name may be any property's."""
+        return self._pin_ids.setdefault(pin, len(self._pin_ids))
+
+    def bound(self, key: tuple[int, int]) -> int:
+        """No run between the pair of pin ids is shorter: the weight once
+        resolved, else one more than the depth it was checked to (0 if
+        never)."""
+        return self.weight.get(key, self.checked_to.get(key, -1) + 1)
+
     # -- solving --------------------------------------------------------------
 
-    def guard(self) -> int:
-        return self.solver.new_var()
+    @contextmanager
+    def scope(self) -> Iterator[Callable[[], int]]:
+        """Fresh literals for one query: yields a function that allocates
+        one.  On exit, even when the query raises, every literal handed
+        out is fixed false at level 0, in allocation order."""
+        lits: list[int] = []
+
+        def fresh() -> int:
+            lits.append(self.solver.new_var())
+            return lits[-1]
+        try:
+            yield fresh
+        finally:
+            for lit in lits:
+                self.solver.add_clause([-lit])
 
     def pin(self, g: int, *lits: int) -> None:
         """Under guard g, at least one of `lits` holds (with one literal,
         g implies it)."""
         self.solver.add_clause([-g, *lits])
-
-    def retire(self, g: int) -> None:
-        self.solver.add_clause([-g])
 
     def state_bits(self, k: int) -> list[int]:
         """Every literal that encodes the state at step k."""
@@ -194,12 +214,11 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
     """Which of `pairs` (key -> (src Pin, dst Pin)) are witnessed by some
     exactly-k-step run?  Returns the set of their keys.
 
-    Each pair gets a fresh selector that implies its pins.  One witness
-    query asks, under a fresh guard, for any selector of the pairs still
-    open; every pair the witness satisfies is removed, until the query is
-    unsatisfiable.  Guards and selectors are retired on the way out, so
-    their clauses are satisfied at level 0 and later solves never
-    propagate them."""
+    Each pair gets a selector that implies its pins.  One witness query
+    asks, under a guard, for any selector of the pairs still open; every
+    pair the witness satisfies is removed, until the query is
+    unsatisfiable.  The selectors share one scope and each guard has its
+    own, so the guard is retired right after its solve."""
     if not pairs:
         return set()
     depth = max(k, 1)
@@ -207,18 +226,18 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
     found: set = set()
     remaining = dict(pairs)
     sel: dict = {}
-    try:
+    with unr.scope() as fresh:
         for key, (src, dst) in pairs.items():
-            s = sel[key] = unr.guard()
+            s = sel[key] = fresh()
             lits = _pin_lits(unr, src, 0, with_psi=True)
             lits += _pin_lits(unr, dst, k, with_psi=(k == 0))
             for lit in lits:
                 unr.pin(s, lit)
         while remaining:
-            g = unr.guard()
-            unr.pin(g, *(sel[key] for key in remaining))
-            res = unr.solver.solve([g])
-            unr.retire(g)
+            with unr.scope() as guard:
+                g = guard()
+                unr.pin(g, *(sel[key] for key in remaining))
+                res = unr.solver.solve([g])
             if res.status == sat.UNSAT:
                 break
             trace = [unr.decode_state(res.model, j) for j in range(depth + 1)]
@@ -230,9 +249,6 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
             found.update(hits)
             for key in hits:
                 del remaining[key]
-    finally:
-        for s in sel.values():
-            unr.retire(s)
     return found
 
 
@@ -247,40 +263,36 @@ def simple_run_exists(unr: Unrolling, src: Pin, m: int) -> bool:
     without a witness of at most m - 1 steps has none at any depth.
 
     Each pair of steps gets one difference bit per state bit, which
-    implies the two bits differ; under a fresh guard, some difference
-    bit of every pair holds.  The guard and the difference bits are fixed
-    false at level 0 afterwards, so nothing of the query stays live.
-    Answers are remembered per source: a run for m has one for every
-    smaller m, and none for m means none for any larger m."""
-    known, refuted = unr.simple_runs.get(src, (0, math.inf))
+    implies the two bits differ; under a guard, some difference bit of
+    every pair holds.  The guard and the difference bits share one
+    scope, so nothing of the query stays live.  Answers are remembered
+    per source pin id: a run for m has one for every smaller m, and none
+    for m means none for any larger m."""
+    sid = unr.pin_id(src)
+    known, refuted = unr.simple_runs.get(sid, (0, math.inf))
     if m <= known:
         return True
     if m >= refuted:
         return False
     unr.ensure(m)
-    g = unr.guard()
-    diffs: list[int] = []
-    try:
+    with unr.scope() as fresh:
+        g = fresh()
         for lit in _pin_lits(unr, src, 0, with_psi=True):
             unr.pin(g, lit)
         frames = [unr.state_bits(j) for j in range(1, m + 1)]
         for fi, fj in combinations(frames, 2):
             pair = []
             for x, y in zip(fi, fj):
-                d = unr.guard()
+                d = fresh()
                 unr.pin(g, -d, x, y)
                 unr.pin(g, -d, -x, -y)
                 pair.append(d)
             unr.pin(g, *pair)
-            diffs += pair
         res = unr.solver.solve([g])
-    finally:
-        for lit in (g, *diffs):
-            unr.retire(lit)
     if res.status == sat.SAT:
-        unr.simple_runs[src] = (m, refuted)
+        unr.simple_runs[sid] = (m, refuted)
         return True
-    unr.simple_runs[src] = (known, m)
+    unr.simple_runs[sid] = (known, m)
     return False
 
 
@@ -295,24 +307,17 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
     that gives no core blames the whole path."""
     if len(pins) != len(weights) + 1:
         raise ValueError("need exactly one weight per consecutive vertex pair")
-    offsets = [0]
-    for w in weights:
-        offsets.append(offsets[-1] + w)
+    offsets = list(accumulate(weights, initial=0))
     total = offsets[-1]
-    depth = total
-    for p, o in zip(pins, offsets):
-        if p.psi is not None:
-            depth = max(depth, o + 1)
-    unr.ensure(depth)
+    unr.ensure(max([total] + [o + 1 for p, o in zip(pins, offsets) if p.psi is not None]))
     tags = []
-    for p, o in zip(pins, offsets):
-        t = unr.guard()
-        for lit in _pin_lits(unr, p, o, with_psi=True):
-            unr.pin(t, lit)
-        tags.append(t)
-    res = unr.solver.solve(tags)
-    for t in tags:
-        unr.retire(t)
+    with unr.scope() as fresh:
+        for p, o in zip(pins, offsets):
+            t = fresh()
+            for lit in _pin_lits(unr, p, o, with_psi=True):
+                unr.pin(t, lit)
+            tags.append(t)
+        res = unr.solver.solve(tags)
     if res.status == sat.SAT:
         trace, inputs = unr.decode_run(res.model, total)
         return PathCheck(True, inputs=inputs, trace=trace)

@@ -2,8 +2,9 @@
 a model/properties pair, `chainforge bench` runs a benchmark suite and
 compares against expected results.
 
-Exit codes: 0 success, 2 no chain found, 3 unreadable file or parse/sort
-error, 4 timeout or solver resource limit.
+Exit codes: 0 success, 2 no chain found (or a failed benchmark), 3
+unreadable or unwritable file, parse/sort error or invalid option value,
+4 timeout or solver resource limit.
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ def _print_text(result: ChainResult, out) -> None:
 
 
 def cmd_generate(args) -> int:
+    for flag, value in (("--k-max", args.k_max), ("--timeout", args.timeout)):
+        if not value >= 0:
+            print(f"error: {flag} must be >= 0, not {value}", file=sys.stderr)
+            return EXIT_PARSE
     model = _load_model(args.model)
     if model is None:
         return EXIT_PARSE
@@ -165,7 +170,11 @@ def cmd_generate(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PARSE
 
-    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as ex:
+        print(f"error: cannot write {args.output}: {ex.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.format == "json":
             json.dump(_result_json(model, result, args), out, indent=2)
@@ -231,15 +240,26 @@ def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
 
 def cmd_bench(args) -> int:
     suite = Path(args.suite)
+    try:
+        bench_dirs = sorted(p for p in suite.iterdir() if p.is_dir())
+    except OSError as ex:
+        print(f"error: cannot read {suite}: {ex.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     rows = []
-    failures = 0
-    for bench_dir in sorted(p for p in suite.iterdir() if p.is_dir()):
+    for bench_dir in bench_dirs:
         expected = bench_dir / "expected.json"
         model_file = bench_dir / "model.rsys"
         props_file = bench_dir / "props.props"
         if not (expected.exists() and model_file.exists() and props_file.exists()):
             continue
-        exp = json.loads(expected.read_text())
+        failed = (bench_dir.name, "-", "-", "-", "-", "-")
+        exp = _read(str(expected), json.loads)
+        if not isinstance(exp, dict):
+            if exp is not None:
+                print(f"error: malformed {expected}: expected a JSON object",
+                      file=sys.stderr)
+            rows.append((*failed, "bad expected.json"))
+            continue
         model = _load_model(str(model_file))
         props = _load_props(str(props_file), model) if model else None
         init_expr = final_expr = None
@@ -249,16 +269,14 @@ def cmd_bench(args) -> int:
             final_expr = (_parse_set(exp["final"], model, "final")
                           if "final" in exp else init_expr)
         if init_expr is None or final_expr is None:
-            rows.append((bench_dir.name, "-", "-", "-", "-", "-", "parse error"))
-            failures += 1
+            rows.append((*failed, "parse error"))
             continue
         cfg = EngineConfig(k_max=exp.get("k_max", 50))
         t0 = time.perf_counter()
         try:
             result = generate_chain(model, props, init_expr, final_expr, cfg)
         except SolverLimit:
-            rows.append((bench_dir.name, "-", "-", "-", "-", "-", "timeout"))
-            failures += 1
+            rows.append((*failed, "timeout"))
             continue
         dt = time.perf_counter() - t0
         tcs, ln = len(result.chains), result.total_length
@@ -278,8 +296,6 @@ def cmd_bench(args) -> int:
             verdict = f"len>{exp['len_max']}"
         elif opt is not None and result.chains and len(result.chains) == 1 and ln < opt:
             verdict = "below oracle optimum"  # impossible unless buggy
-        if verdict != "ok":
-            failures += 1
         rows.append((bench_dir.name, tcs, ln, f"{dt:.2f}",
                      opt if opt is not None else "-",
                      f"{base.coverage * 100:.0f}%/{base.total_length}", verdict))
@@ -287,7 +303,7 @@ def cmd_bench(args) -> int:
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
     for r in [header] + rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
-    return EXIT_NO_CHAIN if failures else EXIT_OK
+    return EXIT_NO_CHAIN if any(r[-1] != "ok" for r in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,9 +18,8 @@ from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Not, Property,
                     check_spaces, conj, disj, reachable_states, replay, sort_of)
 from .optimizer import (EXACT_LIMIT, AtspInstance, instance_from_closure,
                         solve_atsp, solve_atsp_exact, tour_to_vertex_path)
-from .reachgraph import (PROP, BuildOutcome, ReachGraph, WeightCache,
-                         build_reach_graph, expand_path, get_covering_path,
-                         transitive_closure)
+from .reachgraph import (PROP, BuildOutcome, ReachGraph, build_reach_graph,
+                         expand_path, get_covering_path, transitive_closure)
 
 MINIMAL = "minimal-certified"
 MINIMISED = "minimised"
@@ -125,9 +124,8 @@ def _check_deadline(cfg: EngineConfig) -> None:
 # Repair
 # ---------------------------------------------------------------------------
 
-def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
-            ws: list[int], lo: int, hi: int, cfg: EngineConfig,
-            stats: Stats) -> Optional[int]:
+def _repair(unr: Unrolling, g: ReachGraph, vs: list[int], ws: list[int],
+            lo: int, hi: int, cfg: EngineConfig, stats: Stats) -> Optional[int]:
     """Stretch the failed subpath edge by edge, anchored at the concrete
     trigger state each successful check arrives at; on a dead end, retry
     the previous edge with a different witness before giving up.
@@ -144,8 +142,8 @@ def _repair(unr: Unrolling, model: Model, g: ReachGraph, vs: list[int],
         dst_v = g.vertices[vs[j + 1]]
         phi = src_v.phi
         if sigma is not None:
-            phi = conj(state_equality_expr(model, sigma), phi)
-        block = conj(*(Not(state_equality_expr(model, b)) for b in blocked))
+            phi = conj(state_equality_expr(unr.model, sigma), phi)
+        block = conj(*(Not(state_equality_expr(unr.model, b)) for b in blocked))
         chk = check_path(unr, [Pin(phi, src_v.psi),
                                Pin(conj(dst_v.phi, block), dst_v.psi)], [w])
         if not chk.feasible:
@@ -276,10 +274,8 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     else:
         solver = sat.make_solver(deadline=cfg.deadline)
     unr = Unrolling(model, solver, invariant)
-    cache = WeightCache()
     try:
-        result = _generate(unr, model, list(props), init_expr, final_expr, cfg,
-                           cache, stats)
+        result = _generate(unr, list(props), init_expr, final_expr, cfg, stats)
     finally:
         stats.solver_calls = solver.stats_solves
         stats.wall_time_s = time.perf_counter() - t0
@@ -287,16 +283,15 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     return result
 
 
-def _generate(unr: Unrolling, model: Model, props: list[Property],
-              init_expr: Expr, final_expr: Expr, cfg: EngineConfig,
-              cache: WeightCache, stats: Stats) -> ChainResult:
+def _generate(unr: Unrolling, props: list[Property], init_expr: Expr,
+              final_expr: Expr, cfg: EngineConfig, stats: Stats) -> ChainResult:
     """Chain the whole property set; when no single chain covers it,
     partition the set once and chain each class once, never splitting a
     class again."""
 
     def build(ps: list[Property], exhaust: bool) -> BuildOutcome:
         out = build_reach_graph(unr, ps, init_expr, final_expr, cfg.k_max,
-                                exhaust=exhaust, cache=cache)
+                                exhaust=exhaust)
         stats.k_reached = max(stats.k_reached, out.graph.k_stop)
         return out
 
@@ -305,7 +300,7 @@ def _generate(unr: Unrolling, model: Model, props: list[Property],
         # refinement needs the full pairwise picture, not just the edges
         # found before the first covering path appeared
         rebuild = None if cfg.exhaust_k else lambda: build(ps, True).graph
-        return _single_chain(unr, model, ps, out.graph, cfg, cache, stats, rebuild), out
+        return _single_chain(unr, ps, out.graph, cfg, stats, rebuild), out
 
     def bounded(reason: str, out: BuildOutcome) -> str:
         if out.status != "bound-exceeded":
@@ -361,9 +356,8 @@ def _partition(g: ReachGraph) -> tuple[str, list[set[str]]]:
                 for cls in partition_vertex_sets(prop_idxs, conflicts)]
 
 
-def _single_chain(unr: Unrolling, model: Model, props: list[Property],
-                  g: ReachGraph, cfg: EngineConfig, cache: WeightCache,
-                  stats: Stats, rebuild=None) -> Optional[ChainResult]:
+def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
+                  cfg: EngineConfig, stats: Stats, rebuild=None) -> Optional[ChainResult]:
     """Plan, check, and escalate on failure: check the repaired path
     again; else rebuild the complete graph once, if a rebuild is pending;
     else split the vertex repair names and plan again.  None when no
@@ -383,11 +377,11 @@ def _single_chain(unr: Unrolling, model: Model, props: list[Property],
         pins = [g.vertices[v].pin() for v in vs]
         chk = check_path(unr, pins, ws)
         if chk.feasible:
-            return _finish(model, props, g, vs, ws, chk, cache, stats)
+            return _finish(unr, props, g, vs, ws, chk, stats)
         if stats.first_failed_path is None:
             stats.first_failed_path = [g.vertices[v].name
                                        for v in vs[chk.failed_lo:chk.failed_hi + 1]]
-        m = _repair(unr, model, g, vs, ws, chk.failed_lo, chk.failed_hi, cfg, stats)
+        m = _repair(unr, g, vs, ws, chk.failed_lo, chk.failed_hi, cfg, stats)
         if m is None:
             continue
         if rebuild is not None:
@@ -422,13 +416,13 @@ def _plan(g: ReachGraph, stats: Stats):
     return expand_path(closed, tour_to_vertex_path(inst, tour))
 
 
-def _finish(model: Model, props, g: ReachGraph, vs, ws, chk: PathCheck,
-            cache: WeightCache, stats: Stats) -> ChainResult:
+def _finish(unr: Unrolling, props, g: ReachGraph, vs, ws, chk: PathCheck,
+            stats: Stats) -> ChainResult:
     """Replay the concretised chain and certify it iff its length meets
     `_lower_bound`: no covering chain is shorter than that bound."""
     # ground-truth the decoded run and recover cover positions from it;
     # the final pin was part of the solved path
-    rep = replay(model, props, TRUE, chk.inputs, start=chk.trace[0])
+    rep = replay(unr.model, props, TRUE, chk.inputs, start=chk.trace[0])
     if list(rep.trace) != chk.trace:
         raise RuntimeError("decoded trace does not replay; encoder and "
                            "interpreter disagree")
@@ -438,22 +432,23 @@ def _finish(model: Model, props, g: ReachGraph, vs, ws, chk: PathCheck,
     stats.abstract_path = [g.vertices[v].name for v in vs]
     stats.abstract_weights = list(ws)
     stats.path_vertex_distinct = len(set(vs)) == len(vs)
-    certified = chain.length == _lower_bound(g, cache)
+    certified = chain.length == _lower_bound(g, unr)
     return ChainResult([chain], MINIMAL if certified else MINIMISED, graph=g)
 
 
-def _lower_bound(g: ReachGraph, cache: WeightCache) -> Optional[int]:
+def _lower_bound(g: ReachGraph, unr: Unrolling) -> Optional[int]:
     """Held-Karp over the complete instance on the start, property and
-    final vertices (no clones), each pair at its `WeightCache.bound`.
+    final vertices (no clones), each pair at its `Unrolling.bound`.
     A covering chain visits the properties in the order it first covers
     them, and each segment is no shorter than its pair's bound, so no
-    covering chain is shorter than this.  It reads the cache, since
-    repair stretches `g.weights`.  None above EXACT_LIMIT vertices."""
+    covering chain is shorter than this.  It reads the unrolling's memo,
+    since repair stretches `g.weights`.  None above EXACT_LIMIT
+    vertices."""
     base = [v for v in g.vertices if g.group_of[v.idx] == v.idx]
     if len(base) > EXACT_LIMIT:
         return None
-    pid = cache.ids(base)
-    cost = [[cache.bound((a, b)) if a != b else 0 for b in pid] for a in pid]
+    pid = [unr.pin_id(v.pin()) for v in base]
+    cost = [[unr.bound((a, b)) if a != b else 0 for b in pid] for a in pid]
     ids = [v.idx for v in base]
     inst = AtspInstance(ids, cost, ids.index(g.init_idx), ids.index(g.final_idx))
     return solve_atsp_exact(inst).cost

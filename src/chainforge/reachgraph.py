@@ -1,7 +1,10 @@
 """The weighted abstraction: a digraph over {start, property triggers,
 final} whose edge weights are minimal step counts between trigger sets,
 built by querying the unrolled model at increasing depth until a covering
-path exists.
+path exists.  Pair weights and the depths pairs were checked to live on
+the `Unrolling`, keyed by pin ids, so every build on one unrolling
+(partition classes and rebuilds included) queries each pair and depth
+once.
 
 Also home to the transitive closure (min-plus, with parent pointers so
 closure edges expand back to original edges) and the one insertion
@@ -103,30 +106,6 @@ def make_vertices(props, init_expr: Expr, final_expr: Expr) -> list[Vertex]:
     return vs
 
 
-class WeightCache:
-    """Shared by every build of a run, partition classes included, so
-    pair weights are only ever queried once.  A pair is keyed by its two
-    vertices' pin ids (`ids`): the pins say all a query asks of a vertex,
-    while a name may be any property's, `I` and `F` included."""
-
-    def __init__(self):
-        self.weight: dict[tuple[int, int], int] = {}
-        self.checked_to: dict[tuple[int, int], int] = {}
-        self._pin_ids: dict[Pin, int] = {}
-
-    def ids(self, vertices) -> list[int]:
-        """Each vertex's pin id; equal pins get equal ids."""
-        return [self._pin_ids.setdefault(v.pin(), len(self._pin_ids))
-                for v in vertices]
-
-    def bound(self, key: tuple[int, int]) -> int:
-        """No run between the pair is shorter: the weight once resolved,
-        else one more than the depth it was checked to (0 if never)."""
-        if key in self.weight:
-            return self.weight[key]
-        return self.checked_to.get(key, -1) + 1
-
-
 @dataclass
 class BuildOutcome:
     graph: ReachGraph
@@ -147,8 +126,7 @@ def target_pairs(g: ReachGraph) -> list[tuple[int, int]]:
 
 
 def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
-                      k_max: int, *, exhaust: bool = False,
-                      cache: Optional[WeightCache] = None) -> BuildOutcome:
+                      k_max: int, *, exhaust: bool = False) -> BuildOutcome:
     """Grow the abstraction one depth at a time until a covering path
     exists (or, with exhaust=True, until every pair is resolved), giving
     each pair the minimal depth at which it is witnessed.
@@ -158,7 +136,7 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     open pairs is asked whether k + 1 distinct states can follow its
     covering step (`simple_run_exists`).  If not, its open pairs are
     unreachable at every depth; they are recorded as checked to k_max
-    and leave the build, and a later build over the same cache starts
+    and leave the build, and a later build on the same unrolling starts
     without them.  If so, it is not asked again while k + 1 < 2m - 1 for
     its longest known simple run of m states (`Unrolling.simple_runs`),
     so a long simple run costs O(log k_max) queries.
@@ -168,10 +146,9 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
     covering-path answer is kept until a depth adds an edge."""
     vertices = make_vertices(props, init_expr, final_expr)
     g = ReachGraph(vertices, final_idx=len(vertices) - 1)
-    cache = cache if cache is not None else WeightCache()
-    pid = cache.ids(g.vertices)
+    pid = [unr.pin_id(v.pin()) for v in g.vertices]
     remaining = {(a, b) for (a, b) in target_pairs(g)
-                 if cache.bound((pid[a], pid[b])) <= k_max}
+                 if unr.bound((pid[a], pid[b])) <= k_max}
     covered: Optional[bool] = None
     k = 0
     while remaining and k <= k_max:
@@ -185,17 +162,17 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
         for (a, b) in sorted(remaining):
             va, vb = g.vertices[a], g.vertices[b]
             key = (pid[a], pid[b])
-            if key in cache.weight:
-                if cache.weight[key] == k:
+            if key in unr.weight:
+                if unr.weight[key] == k:
                     g.weights[(a, b)] = k
                     remaining.discard((a, b))
                     resolved = True
                 continue
-            if cache.checked_to.get(key, -1) >= k:
+            if unr.checked_to.get(key, -1) >= k:
                 continue
             if k == 0 and va.kind == PROP and vb.kind == FINAL:
                 # covering consumes one transition; a final edge is never 0
-                cache.checked_to[key] = 0
+                unr.checked_to[key] = 0
                 continue
             query[(a, b)] = (va.pin(), vb.pin())
         if query:
@@ -203,16 +180,16 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
             for (a, b) in query:
                 key = (pid[a], pid[b])
                 if (a, b) in found:
-                    cache.weight[key] = k
+                    unr.weight[key] = k
                     g.weights[(a, b)] = k
                     remaining.discard((a, b))
                 else:
-                    cache.checked_to[key] = k
+                    unr.checked_to[key] = k
             resolved = resolved or bool(found)
         if resolved:
             covered = None
         elif 0 < k < k_max:
-            _drop_bounded_sources(unr, g, pid, remaining, cache, k, k_max)
+            _drop_bounded_sources(unr, g, pid, remaining, k, k_max)
         k += 1
     g.k_stop = min(max(k - 1, 0), k_max)
     if covered is None:
@@ -221,8 +198,7 @@ def build_reach_graph(unr: Unrolling, props, init_expr: Expr, final_expr: Expr,
 
 
 def _drop_bounded_sources(unr: Unrolling, g: ReachGraph, pid: list[int],
-                          remaining: set, cache: WeightCache, k: int,
-                          k_max: int) -> None:
+                          remaining: set, k: int, k_max: int) -> None:
     """Ask each source with open pairs (remaining, no known weight), in
     index order, whether k + 1 distinct states can follow its covering
     step, on the schedule above.  Every open pair has no witness of k
@@ -230,15 +206,14 @@ def _drop_bounded_sources(unr: Unrolling, g: ReachGraph, pid: list[int],
     depth."""
     open_pairs: dict[int, list[tuple[int, int]]] = {}
     for (a, b) in sorted(remaining):
-        if (pid[a], pid[b]) not in cache.weight:
+        if (pid[a], pid[b]) not in unr.weight:
             open_pairs.setdefault(a, []).append((a, b))
     for a, pairs in open_pairs.items():
-        pin = g.vertices[a].pin()
-        known = unr.simple_runs.get(pin, (0, math.inf))[0]
-        if k + 1 < 2 * known - 1 or simple_run_exists(unr, pin, k + 1):
+        known = unr.simple_runs.get(pid[a], (0, math.inf))[0]
+        if k + 1 < 2 * known - 1 or simple_run_exists(unr, g.vertices[a].pin(), k + 1):
             continue
         for (x, y) in pairs:
-            cache.checked_to[(pid[x], pid[y])] = k_max
+            unr.checked_to[(pid[x], pid[y])] = k_max
             remaining.discard((x, y))
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from chainforge.engine import generate_chain
 from chainforge.model import TRUE, BinOp, Property, disj, eval_expr, run_trace
 from chainforge.oracle import (int_const, pair_min_weights, random_model,
                                state_eq, table_model)
-from chainforge.sat import ExternalSolver
+from chainforge.sat import ExternalSolver, Solver, SolverLimit
 from chainforge.reachgraph import (ReachGraph, build_reach_graph, make_vertices,
                                    target_pairs)
 
@@ -137,6 +138,40 @@ def test_kreach_query_leaves_nothing_live(which, k, cruise_model, cruise_props,
             ref.pred_lit(dst.psi, k)
     unr = Unrolling(model)
     get_kreach_edges(unr, pairs, k)
+    assert _live_vars(unr) <= _live_vars(ref)
+
+
+def _placed(query, pins, k):
+    """The arguments of one query on `pins`, and the (expression, step)
+    encodings it keeps: trigger and assertion encodings only."""
+    if query is check_path:
+        placed = [(e, i * k) for i, p in enumerate(pins) for e in (p.phi, p.psi)]
+        return (pins, [k] * (len(pins) - 1)), placed
+    if query is get_kreach_edges:
+        pairs = {(a, b): (pins[a], pins[b])
+                 for a in range(len(pins)) for b in range(len(pins)) if a != b}
+        placed = [(e, 0) for p in pins for e in (p.phi, p.psi)]
+        placed += [(p.phi, k) for p in pins]
+        return (pairs, k), placed
+    return (pins[1], k), [(pins[1].phi, 0), (pins[1].psi, 0)]
+
+
+@pytest.mark.parametrize("query", [check_path, get_kreach_edges, simple_run_exists])
+def test_a_query_whose_solve_raises_leaves_nothing_live(query, cruise_model,
+                                                        cruise_props, cruise_final):
+    """On a solver whose deadline has passed, the query's solve raises
+    SolverLimit, and every literal the query made is still retired: no
+    more stays live than the encodings of its pins alone."""
+    pins = [v.pin() for v in make_vertices(cruise_props, cruise_final, cruise_final)]
+    args, placed = _placed(query, pins, 2)
+    unr = Unrolling(cruise_model, Solver(deadline=time.monotonic() - 1))
+    with pytest.raises(SolverLimit):
+        query(unr, *args)
+    ref = Unrolling(cruise_model)
+    ref.ensure(unr.horizon)
+    for e, k in placed:
+        if e is not None:
+            ref.pred_lit(e, k)
     assert _live_vars(unr) <= _live_vars(ref)
 
 
@@ -287,6 +322,36 @@ def _random_table_case(rng):
         props.append(Property(f"p{i}", phi, psi))
     final = TRUE if rng.random() < 0.5 else state_eq(model, rng.randrange(n))
     return model, props, state_eq(model, 0), final, rng.choice((6, 12, 20))
+
+
+def test_builds_on_one_unrolling_share_its_memo(monkeypatch):
+    """A second build on the same unrolling, even with a larger bound,
+    never sends a pair the first one resolved, nor a pair at a depth the
+    first one refuted it at, and ends with the weights a fresh build
+    finds."""
+    sent: list[list[tuple]] = []
+
+    def counting(unr, pairs, k):
+        sent[-1].extend((src, dst, k) for src, dst in pairs.values())
+        return get_kreach_edges(unr, pairs, k)
+
+    monkeypatch.setattr(reachgraph, "get_kreach_edges", counting)
+    rng = random.Random(77)
+    for case in range(8):
+        model, props, init, final, _ = _random_table_case(rng)
+        unr = Unrolling(model)
+        sent.append([])
+        first = build_reach_graph(unr, props, init, final, k_max=4, exhaust=True)
+        sent.append([])
+        second = build_reach_graph(unr, props, init, final, k_max=8, exhaust=True)
+        g = first.graph
+        resolved = {(g.vertices[a].pin(), g.vertices[b].pin()) for a, b in g.weights}
+        refuted = {(src, dst, k) for src, dst, k in sent[-2]}
+        assert not [q for q in sent[-1] if q[:2] in resolved or q in refuted], case
+        fresh = build_reach_graph(Unrolling(model), props, init, final,
+                                  k_max=8, exhaust=True)
+        assert second.graph.named_edges() == fresh.graph.named_edges(), case
+    assert sum(len(s) for s in sent[1::2]) > 0
 
 
 def test_recurrence_bound_keeps_exhaustive_weights_exact(monkeypatch):

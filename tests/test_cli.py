@@ -185,6 +185,58 @@ def test_bench_empty_suite(tmp_path, capsys):
     assert code == 0
 
 
+def test_bench_missing_suite_exits_3(tmp_path, capsys):
+    missing = tmp_path / "no-suite"
+    code = run_cli("bench", str(missing))
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "error: cannot read {}: Expecting property name"),
+    ("[1, 2]", "error: malformed {}: expected a JSON object"),
+])
+def test_bench_reports_a_bad_expected_json(tmp_path, capsys, text, message):
+    """An unreadable or non-object expected.json fails its own row; the
+    other benchmarks still run."""
+    import shutil
+    suite = tmp_path / "suite"
+    shutil.copytree(CRUISE, suite / "cruise1")
+    d = suite / "cruise_badexp"
+    d.mkdir()
+    for f in ("model.rsys", "props.props"):
+        shutil.copy(CRUISE / f, d / f)
+    (d / "expected.json").write_text(text)
+    code = run_cli("bench", str(suite))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message.format(d / "expected.json") in captured.err
+    rows = {l.split()[0]: l.rstrip() for l in captured.out.splitlines()[1:]}
+    assert rows["cruise_badexp"].endswith("bad expected.json")
+    assert rows["cruise1"].endswith("ok")
+
+
+def test_generate_unwritable_output_exits_3(tmp_path, capsys):
+    out = tmp_path / "no-dir" / "report.json"
+    code = run_cli("generate", str(CRUISE / "model.rsys"), str(CRUISE / "props.props"),
+                   "--final", FINAL, "--format", "json", "--output", str(out))
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--k-max", "-3"), ("--timeout", "-1"),
+                                         ("--timeout", "nan")])
+def test_generate_rejects_a_negative_bound_or_timeout(capsys, flag, value):
+    code = run_cli("generate", str(CRUISE / "model.rsys"), str(CRUISE / "props.props"),
+                   "--final", FINAL, flag, value)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {flag} must be >= 0")
+    assert captured.out == ""
+
+
 def test_bench_flags_regression(tmp_path, capsys):
     import shutil
     d = tmp_path / "suite" / "cruise_bad"
