@@ -2,9 +2,13 @@
 
 One `Unrolling` owns one solver instance and everything valid only for
 its formula: it grows monotonically (raising the horizon only appends
-clauses), so all queries share learned state, and it keeps the run's
-memos: `pred_lit`'s trigger encodings, the pair weights and checked
-depths of the k-reach build, and the simple-run answers, keyed by pin id.
+clauses), so all queries share learned state.  Only the first frame's
+transition is encoded from the model's expressions; its gates are
+recorded as a tape, and every later frame replays that tape over its
+own literals, writing the same clauses that encoding it afresh would.
+The unrolling also keeps the run's memos: `pred_lit`'s trigger
+encodings, the pair weights and checked depths of the k-reach build, and
+the simple-run answers, keyed by pin id.
 A query attaches its constraints through fresh literals from
 `Unrolling.scope()`; guards are passed as assumptions, and on leaving the
 scope, even when the solve raises, every literal it handed out is fixed
@@ -22,6 +26,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import sat
@@ -70,6 +75,9 @@ class Unrolling:
         self.checked_to: dict[tuple[int, int], int] = {}
         # source pin id -> (longest m with a simple run, shortest m without)
         self.simple_runs: dict[int, tuple[int, float]] = {}
+        # the transition's gate tape as compiled when frame 1 is encoded
+        self._program: Optional[list] = None
+        self._n_slots = 0
         self._add_frame()
 
     # -- frames ---------------------------------------------------------------
@@ -93,8 +101,24 @@ class Unrolling:
                 [self.pred_lit(self.model.input_assumption, k)])
 
     def _assert_transition(self, k: int) -> None:
+        """Constrain frame k's state to the transition from frame k-1.
+
+        Frame 1 is encoded from the model's expressions with the gate
+        tape on, and the tape is compiled into a program over slots: the
+        base slots are `_base_lits(k)`, every other slot a gate output.
+        Every later frame replays the program, calling the same makers on
+        its own base literals.  Base literals are distinct fresh variables
+        at every frame and T stays T, and distinct cache keys give
+        distinct variables, so every folding decision the encoder made
+        for frame 1 holds at frame k: the replay writes the clauses
+        encoding frame k would, in the same order, and reuses a gate
+        another query already cached exactly as the encoder would."""
+        if self._program is not None:
+            self._replay(k)
+            return
         m = self.model
         look = self._lookup(k - 1)
+        self.gates.tape = tape = []
         for name, dom in m.state_vars:
             target = self.state_frames[k][name]
             expr = m.transition_expr(name)
@@ -102,6 +126,26 @@ class Unrolling:
                 assert_assignment(self.gates, target, self.state_frames[k - 1][name], dom)
             else:
                 assert_assignment(self.gates, target, encode_expr(expr, self.gates, look), dom)
+        self.gates.tape = None
+        self._program, self._n_slots = _compile(tape, self._base_lits(k))
+
+    def _base_lits(self, k: int) -> list[int]:
+        """The literals transition k is encoded over: T, the state and
+        input bits of frame k-1, and the state bits of frame k."""
+        return [self.gates.T, *self.state_bits(k - 1), *self.input_bits(k - 1),
+                *self.state_bits(k)]
+
+    def _replay(self, k: int) -> None:
+        # vals[s] is slot s's literal and vals[-s] its negation
+        vals = [0] * (2 * self._n_slots + 1)
+        for s, lit in enumerate(self._base_lits(k), 1):
+            vals[s] = lit
+            vals[-s] = -lit
+        for maker, args, out in self._program:
+            lit = maker(*args(vals))
+            if out:
+                vals[out] = lit
+                vals[-out] = -lit
 
     def ensure(self, k: int) -> None:
         while self.horizon < k:
@@ -163,11 +207,11 @@ class Unrolling:
 
     def state_bits(self, k: int) -> list[int]:
         """Every literal that encodes the state at step k."""
-        out: list[int] = []
-        for name, _ in self.model.state_vars:
-            enc = self.state_frames[k][name]
-            out.extend((enc,) if isinstance(enc, int) else enc.bits)
-        return out
+        return _bits(self.state_frames[k], self.model.state_vars)
+
+    def input_bits(self, k: int) -> list[int]:
+        """Every literal that encodes the input at step k."""
+        return _bits(self.input_frames[k], self.model.inputs)
 
     def decode_state(self, model_bits, k: int) -> dict:
         return {n: decode_var(self.state_frames[k][n], model_bits, d)
@@ -181,6 +225,36 @@ class Unrolling:
         trace = [self.decode_state(model_bits, k) for k in range(n_steps + 1)]
         inputs = [self.decode_input(model_bits, k) for k in range(n_steps)]
         return trace, inputs
+
+
+def _compile(tape: list, base: list[int]) -> tuple[list, int]:
+    """A gate tape as `(maker, argument getter, output slot)` steps over
+    the base literals, and the number of slots.  Slots count from 1 and a
+    negated slot stands for the negated literal; the getter picks a
+    step's arguments out of the slot values, and output slot 0 means the
+    step has no output."""
+    slots = {lit: i for i, lit in enumerate(base, 1)}
+
+    def slot(lit: int) -> int:
+        s = slots.get(abs(lit))
+        if s is None:
+            raise BmcError(f"transition gate reads literal {lit}, which is "
+                           "neither a frame literal nor a gate it made")
+        return s if lit > 0 else -s
+    program = []
+    for maker, args, out in tape:
+        ins = itemgetter(*(slot(a) for a in args))
+        program.append((maker, ins, 0 if out is None
+                        else slots.setdefault(out, len(slots) + 1)))
+    return program, len(slots)
+
+
+def _bits(frame: dict, decls) -> list[int]:
+    out: list[int] = []
+    for name, _ in decls:
+        enc = frame[name]
+        out.extend((enc,) if isinstance(enc, int) else enc.bits)
+    return out
 
 
 # ---------------------------------------------------------------------------

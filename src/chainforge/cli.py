@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .dsl import parse_model, parse_properties, parse_state_set
@@ -238,6 +239,30 @@ def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
     return EXIT_OK if ok else EXIT_NO_CHAIN
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+#: expected.json fields, each with its check and what it must be
+_EXPECTED_FIELDS = (
+    (("k_max", "baseline_budget"), lambda v: _is_int(v) and v >= 0,
+     "a non-negative integer"),
+    (("init", "final"), lambda v: isinstance(v, str), "a string"),
+    (("tcs", "len", "len_max"), _is_int, "an integer"),
+)
+
+
+def _malformed_expected(exp) -> Optional[str]:
+    """Why a parsed expected.json cannot be used, or None."""
+    if not isinstance(exp, dict):
+        return "expected a JSON object"
+    for names, ok, what in _EXPECTED_FIELDS:
+        for name in names:
+            if name in exp and not ok(exp[name]):
+                return f"field '{name}' must be {what}, not {json.dumps(exp[name])}"
+    return None
+
+
 def cmd_bench(args) -> int:
     suite = Path(args.suite)
     try:
@@ -254,10 +279,10 @@ def cmd_bench(args) -> int:
             continue
         failed = (bench_dir.name, "-", "-", "-", "-", "-")
         exp = _read(str(expected), json.loads)
-        if not isinstance(exp, dict):
-            if exp is not None:
-                print(f"error: malformed {expected}: expected a JSON object",
-                      file=sys.stderr)
+        problem = None if exp is None else _malformed_expected(exp)
+        if exp is None or problem:
+            if problem:
+                print(f"error: malformed {expected}: {problem}", file=sys.stderr)
             rows.append((*failed, "bad expected.json"))
             continue
         model = _load_model(str(model_file))

@@ -7,13 +7,14 @@ exact (intermediate widths grow as needed) and saturation is applied by
 `clamp` where results flow into a declared variable.
 
 The gate builder keeps a structural cache, folds constants, and writes
-Tseitin clauses straight into the backing solver.
+Tseitin clauses straight into the backing solver; it can record the
+gates it makes as a tape, which the unrolling replays for later frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .model import (BinOp, BoolDomain, Const, Domain, EnumDomain, Expr,
                     IntRange, Ite, Not, Ref)
@@ -47,13 +48,22 @@ class EnumV:
 
 
 class Gates:
-    """Tseitin gate builder over a solver exposing new_var/add_clause."""
+    """Tseitin gate builder over a solver exposing new_var/add_clause.
+
+    `land`, `lite` and `liff` fold constants and identities, then call
+    one maker (`_and`, `_ite`, `_iff`) that normalises the cache key and,
+    on a miss, allocates the gate and writes its clauses.  While `tape`
+    is a list, every maker call and every `assert_iff` appends
+    `(maker, args, output)` to it (output None for `assert_iff`), so the
+    same circuit can be rebuilt over other literals by calling the makers
+    again in order."""
 
     def __init__(self, solver):
         self.solver = solver
         self.T = solver.new_var()
         solver.add_clause([self.T])
         self._cache: dict = {}
+        self.tape: Optional[list] = None
 
     def const(self, b: bool) -> int:
         return self.T if b else -self.T
@@ -71,6 +81,9 @@ class Gates:
             return b
         if self.is_true(b) or a == b:
             return a
+        return self._and(a, b)
+
+    def _and(self, a: int, b: int) -> int:
         key = ("&", min(a, b), max(a, b))
         g = self._cache.get(key)
         if g is None:
@@ -79,6 +92,8 @@ class Gates:
             self.solver.add_clause([-g, b])
             self.solver.add_clause([g, -a, -b])
             self._cache[key] = g
+        if self.tape is not None:
+            self.tape.append((self._and, (a, b), g))
         return g
 
     def lor(self, a: int, b: int) -> int:
@@ -101,6 +116,9 @@ class Gates:
             return self.land(c, t)
         if t == -e:
             return self.liff(c, t)
+        return self._ite(c, t, e)
+
+    def _ite(self, c: int, t: int, e: int) -> int:
         key = ("?", c, t, e)
         g = self._cache.get(key)
         if g is None:
@@ -110,6 +128,8 @@ class Gates:
             self.solver.add_clause([g, -c, -t])
             self.solver.add_clause([g, c, -e])
             self._cache[key] = g
+        if self.tape is not None:
+            self.tape.append((self._ite, (c, t, e), g))
         return g
 
     def liff(self, a: int, b: int) -> int:
@@ -125,25 +145,31 @@ class Gates:
             return self.T
         if a == -b:
             return -self.T
-        if abs(a) > abs(b):
-            a, b = b, a
-        if a < 0:
-            a, b = -a, -b
-        key = ("=", a, b)
+        return self._iff(a, b)
+
+    def _iff(self, a: int, b: int) -> int:
+        x, y = (a, b) if abs(a) <= abs(b) else (b, a)
+        if x < 0:
+            x, y = -x, -y
+        key = ("=", x, y)
         g = self._cache.get(key)
         if g is None:
             g = self.solver.new_var()
-            self.solver.add_clause([-g, -a, b])
-            self.solver.add_clause([-g, a, -b])
-            self.solver.add_clause([g, -a, -b])
-            self.solver.add_clause([g, a, b])
+            self.solver.add_clause([-g, -x, y])
+            self.solver.add_clause([-g, x, -y])
+            self.solver.add_clause([g, -x, -y])
+            self.solver.add_clause([g, x, y])
             self._cache[key] = g
+        if self.tape is not None:
+            self.tape.append((self._iff, (a, b), g))
         return g
 
     def lxor(self, a: int, b: int) -> int:
         return -self.liff(a, b)
 
     def assert_iff(self, a: int, b: int) -> None:
+        if self.tape is not None:
+            self.tape.append((self.assert_iff, (a, b), None))
         self.solver.add_clause([-a, b])
         self.solver.add_clause([a, -b])
 

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from chainforge import reachgraph
-from chainforge.bmc import (Pin, Unrolling, check_path, get_kreach_edges,
-                            simple_run_exists)
+from chainforge import bmc, reachgraph
+from chainforge.bmc import (BmcError, Pin, Unrolling, check_path,
+                            get_kreach_edges, simple_run_exists)
 from chainforge.dsl import parse_model, parse_properties, parse_state_set
+from chainforge.encode import assert_assignment, encode_expr
 from chainforge.engine import generate_chain
 from chainforge.model import TRUE, BinOp, Property, disj, eval_expr, run_trace
 from chainforge.oracle import (int_const, pair_min_weights, random_model,
@@ -16,6 +17,7 @@ from chainforge.oracle import (int_const, pair_min_weights, random_model,
 from chainforge.sat import ExternalSolver, Solver, SolverLimit
 from chainforge.reachgraph import (ReachGraph, build_reach_graph, make_vertices,
                                    target_pairs)
+from conftest import BENCHES
 
 
 @pytest.fixture(scope="module")
@@ -261,16 +263,19 @@ def test_check_path_blames_the_whole_path_without_a_core(cruise_model, cruise_fi
     assert (res.failed_lo, res.failed_hi) == (0, 3)
 
 
+KEEP_MODEL = """model keep {
+  state x: 0..3 init 0;
+  state y: bool init false;
+  input a: bool;
+  trans { x' = a ? x + 1 : x; }
+}"""
+
+
 def test_state_without_an_update_keeps_its_value():
     """`y` has no `trans` update, so it stays false in every frame: no
     path reaches `y` from init, and the chain that drives `x` to 3 keeps
     `y` false at every step."""
-    model, diags = parse_model("""model keep {
-      state x: 0..3 init 0;
-      state y: bool init false;
-      input a: bool;
-      trans { x' = a ? x + 1 : x; }
-    }""")
+    model, diags = parse_model(KEEP_MODEL)
     assert model is not None, [str(d) for d in diags]
     y, _ = parse_state_set("y", model)
     unr = Unrolling(model)
@@ -379,3 +384,93 @@ def test_recurrence_bound_keeps_exhaustive_weights_exact(monkeypatch):
         edges += len(got)
     assert edges > 1000
     assert len(bounded) >= 100
+
+
+class PerFrameUnrolling(Unrolling):
+    """Reference: the transition encoded from the model's expressions
+    afresh at every frame."""
+
+    def _assert_transition(self, k):
+        look = self._lookup(k - 1)
+        for name, dom in self.model.state_vars:
+            expr = self.model.transition_expr(name)
+            value = (self.state_frames[k - 1][name] if expr is None
+                     else encode_expr(expr, self.gates, look))
+            assert_assignment(self.gates, self.state_frames[k][name], value, dom)
+
+
+def _identity_case(which):
+    """A model and a trigger over (state, input) that shares gates with
+    its transition."""
+    if which in ("cruise1", "cruise2"):
+        model, _ = parse_model((BENCHES / which / "model.rsys").read_text())
+        return model, _trig(model, "(gas || (mode != ON && acc)) && speed < 2")
+    if which == "keep":
+        model, _ = parse_model(KEEP_MODEL)
+        return model, _trig(model, "(a ? x + 1 : x) == 3")
+    gen = random_model(31, n_states=12, n_inputs=3, n_props=4, multi_state=True)
+    return gen.model, gen.props[0].assumption
+
+
+CASES = ("cruise1", "cruise2", "keep", "random-multi")
+
+
+@pytest.mark.parametrize("which", CASES)
+def test_replayed_transition_matches_per_frame_encoding(which):
+    """The replayed tape writes the clauses encoding every frame would:
+    the same list, clause by clause and literal by literal."""
+    model, _ = _identity_case(which)
+    unr, ref = Unrolling(model), PerFrameUnrolling(model)
+    unr.ensure(12)
+    ref.ensure(12)
+    assert unr.solver.nvars == ref.solver.nvars
+    assert unr.solver.clauses == ref.solver.clauses
+
+
+@pytest.mark.parametrize("which", CASES)
+def test_replay_reuses_gates_a_query_cached(which):
+    """A trigger encoded at the horizon caches gates over that frame's
+    state and input; the next transition reads them, and its replay
+    reuses those gates as per-frame encoding does, so that frame adds
+    fewer variables than the one after it."""
+    model, trigger = _identity_case(which)
+    runs = []
+    for unr in (Unrolling(model), PerFrameUnrolling(model)):
+        unr.ensure(4)
+        unr.pred_lit(trigger, 4)
+        grown = [unr.solver.nvars]
+        for k in (5, 6, 7):
+            unr.ensure(k)
+            grown.append(unr.solver.nvars)
+        assert grown[1] - grown[0] < grown[2] - grown[1]
+        runs.append(unr.solver.clauses)
+    assert runs[0] == runs[1]
+
+
+def test_transition_is_encoded_once(monkeypatch, cruise_model):
+    """Only the first frame encodes the transition's expressions; every
+    later frame replays its tape."""
+    exprs = [cruise_model.transition_expr(n) for n, _ in cruise_model.state_vars]
+    assert None not in exprs
+    calls = []
+
+    def counting(e, gates, look):
+        if any(e is t for t in exprs):
+            calls.append(e)
+        return encode_expr(e, gates, look)
+
+    monkeypatch.setattr(bmc, "encode_expr", counting)
+    unr = Unrolling(cruise_model)
+    unr.ensure(3)
+    early = len(calls)
+    unr.ensure(30)
+    assert early == len(calls) == len(exprs)
+
+
+def test_a_tape_reading_a_foreign_literal_is_refused(cruise_model):
+    unr = Unrolling(cruise_model)
+    unr.ensure(1)
+    stray = unr.solver.new_var()
+    tape = [(unr.gates._and, (unr.gates.T, stray), unr.solver.new_var())]
+    with pytest.raises(BmcError, match="neither a frame literal"):
+        bmc._compile(tape, unr._base_lits(1))

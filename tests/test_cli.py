@@ -196,10 +196,19 @@ def test_bench_missing_suite_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("{", "error: cannot read {}: Expecting property name"),
     ("[1, 2]", "error: malformed {}: expected a JSON object"),
+    ('{"k_max": "7"}',
+     "error: malformed {}: field 'k_max' must be a non-negative integer, not \"7\""),
+    ('{"k_max": -1}', "field 'k_max' must be a non-negative integer, not -1"),
+    ('{"baseline_budget": true}',
+     "field 'baseline_budget' must be a non-negative integer, not true"),
+    ('{"init": 3}', "error: malformed {}: field 'init' must be a string, not 3"),
+    ('{"final": null}', "field 'final' must be a string, not null"),
+    ('{"tcs": "1"}', "field 'tcs' must be an integer, not \"1\""),
+    ('{"len_max": 9.5}', "field 'len_max' must be an integer, not 9.5"),
 ])
 def test_bench_reports_a_bad_expected_json(tmp_path, capsys, text, message):
-    """An unreadable or non-object expected.json fails its own row; the
-    other benchmarks still run."""
+    """An unreadable or non-object expected.json, or one with a field of
+    the wrong type, fails its own row; the other benchmarks still run."""
     import shutil
     suite = tmp_path / "suite"
     shutil.copytree(CRUISE, suite / "cruise1")

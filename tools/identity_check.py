@@ -10,8 +10,11 @@ unchanged.
 The instances are the 40 of each perfbench workload (ladder, multi,
 clusters) for workload seeds 1 and 2: 240 in all, generated by the
 checkout's own `perfbench/workloads.py`, which is imported and not
-changed.  Per instance the JSON holds the result status and reason,
-every chain's inputs and cover positions, the engine `Stats` without `wall_time_s`, the
+changed.  Then come the benchmarks of the checkout's `benches/` suite
+(`bench-<dir>`), each at its `expected.json` settings as `chainforge
+bench` runs it, so the records also cover enum, bool, clamp, invariant
+and input-assumption encodings.  Per instance the JSON holds the result
+status and reason, every chain's inputs and cover positions, the engine `Stats` without `wall_time_s`, the
 result graph's `k_stop` and `named_edges()` (the abstraction the chain
 was planned on), for the first solver its variable count, clause count,
 conflicts, solves and a SHA-1 of its clause list (learnt clauses
@@ -56,11 +59,27 @@ def oracle_record(oracle, model, props, init, final) -> dict:
         return {"error": repr(ex)}
 
 
+def bench_instances(workloads, root: Path) -> list:
+    """One instance per benchmark directory under `root/benches`, with
+    `chainforge bench`'s defaults: the model's init when `init` is
+    missing (held as None), the init set when `final` is, k_max 50."""
+    out = []
+    for d in sorted(p for p in (root / "benches").iterdir() if p.is_dir()):
+        exp = json.loads((d / "expected.json").read_text())
+        init = exp.get("init")
+        out.append(workloads.Instance(
+            f"bench-{d.name}", (d / "model.rsys").read_text(),
+            (d / "props.props").read_text(), init, exp.get("final", init),
+            exp.get("k_max", 50)))
+    return out
+
+
 def run_instance(dsl, engine, oracle, sat, inst) -> dict:
     model, _ = dsl.parse_model(inst.model, inst.name)
     props, _ = dsl.parse_properties(inst.props, model, inst.name)
-    init, _ = dsl.parse_state_set(inst.init, model)
-    final, _ = dsl.parse_state_set(inst.final, model)
+    init = (model.init_expr() if inst.init is None
+            else dsl.parse_state_set(inst.init, model)[0])
+    final = init if inst.final is None else dsl.parse_state_set(inst.final, model)[0]
     solvers = []
 
     def factory():
@@ -107,6 +126,8 @@ def run(root: Path) -> dict:
         for seed in WORKLOAD_SEEDS:
             for inst in workloads.generate(name, seed):
                 out[inst.name] = run_instance(dsl, engine, oracle, sat, inst)
+    for inst in bench_instances(workloads, root):
+        out[inst.name] = run_instance(dsl, engine, oracle, sat, inst)
     return out
 
 
