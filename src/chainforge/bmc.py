@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import sat
 from .encode import Gates, alloc_var, assert_assignment, decode_var, encode_expr
-from .model import Expr, Model, SPACE_STATE, SPACE_INPUT, TRUE, eval_expr
+from .model import Expr, Model, SPACE_STATE, SPACE_INPUT, TRUE
 
 
 class BmcError(Exception):
@@ -268,56 +268,38 @@ def _pin_lits(unr: Unrolling, pin: Pin, k: int, with_psi: bool) -> list[int]:
     return lits
 
 
-def _witnesses_pair(src: Pin, dst: Pin, k: int, trace, inputs) -> bool:
-    """Concrete check mirroring the k-reach query for one pair, on a run
-    with one input per state."""
-    s0, i0 = trace[0], inputs[0]
-    if not eval_expr(src.phi, s0, i0):
-        return False
-    if src.psi is not None and not eval_expr(src.psi, s0, i0, trace[1]):
-        return False
-    sk, ik = trace[k], inputs[k]
-    if not eval_expr(dst.phi, sk, ik):
-        return False
-    if k == 0 and dst.psi is not None and not eval_expr(dst.psi, sk, ik, trace[1]):
-        return False
-    return True
-
-
 def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
     """Which of `pairs` (key -> (src Pin, dst Pin)) are witnessed by some
     exactly-k-step run?  Returns the set of their keys.
 
-    Each pair gets a selector that implies its pins.  One witness query
-    asks, under a guard, for any selector of the pairs still open; every
-    pair the witness satisfies is removed, until the query is
-    unsatisfiable.  The selectors share one scope and each guard has its
-    own, so the guard is retired right after its solve."""
+    Each pair gets a selector that implies its pin literals.  One witness
+    query asks, under a guard, for any selector of the pairs still open;
+    every pair whose pin literals all hold in the witness is removed,
+    until the query is unsatisfiable.  The selectors share one scope and
+    each guard has its own, so the guard is retired right after its
+    solve."""
     if not pairs:
         return set()
-    depth = max(k, 1)
-    unr.ensure(depth)
+    unr.ensure(max(k, 1))
     found: set = set()
-    remaining = dict(pairs)
-    sel: dict = {}
+    remaining: dict = {}   # key -> (selector, pin literals), in `pairs` order
     with unr.scope() as fresh:
         for key, (src, dst) in pairs.items():
-            s = sel[key] = fresh()
+            s = fresh()
             lits = _pin_lits(unr, src, 0, with_psi=True)
             lits += _pin_lits(unr, dst, k, with_psi=(k == 0))
             for lit in lits:
                 unr.pin(s, lit)
+            remaining[key] = (s, lits)
         while remaining:
             with unr.scope() as guard:
                 g = guard()
-                unr.pin(g, *(sel[key] for key in remaining))
+                unr.pin(g, *(s for s, _ in remaining.values()))
                 res = unr.solver.solve([g])
             if res.status == sat.UNSAT:
                 break
-            trace = [unr.decode_state(res.model, j) for j in range(depth + 1)]
-            inputs = [unr.decode_input(res.model, j) for j in range(depth + 1)]
-            hits = [key for key, (src, dst) in remaining.items()
-                    if _witnesses_pair(src, dst, k, trace, inputs)]
+            hits = [key for key, (_, lits) in remaining.items()
+                    if all(res.model[abs(lit)] == (lit > 0) for lit in lits)]
             if not hits:
                 raise BmcError("k-reach witness matched no pending pair")
             found.update(hits)

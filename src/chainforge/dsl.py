@@ -27,6 +27,8 @@ checked as they are read, and among the rest the earliest item wins.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -92,53 +94,37 @@ class Token:
     span: SourceSpan
 
 
+#: One alternative per token class, tried in order, so a PUNCT entry
+#: listed before its prefix wins; the last catches any other character.
+_TOKEN = re.compile("|".join((
+    r"(?P<newline>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>//[^\n]*)",
+    r"(?P<int>[0-9]+)", r"(?P<ident>\w+)",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCT)) + ")", r"(?P<other>.)")), re.S)
+
+
 def tokenize(text: str, filename: str) -> list[Token]:
+    """The tokens of `text`, closed by an "eof" token.  A tab or a
+    carriage return is one blank column, and a comment does not move the
+    column.  Integers are ASCII digits; an identifier starts with a
+    letter (`str.isalpha`) or '_' and goes on with letters, digits or
+    '_' (`str.isalnum`, which is exactly what the pattern's word class
+    matches)."""
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = SourceSpan(filename, line, col, line, col)
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(Token("int", text[i:j],
-                              SourceSpan(filename, line, col, line, col + (j - i) - 1)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j],
-                              SourceSpan(filename, line, col, line, col + (j - i) - 1)))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p,
-                                  SourceSpan(filename, line, col, line, col + len(p) - 1)))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", start)
+    line, col = 1, 1
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m[0]
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind == "other" or kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"unexpected character {tok[0]!r}",
+                             SourceSpan(filename, line, col, line, col))
+        elif kind != "comment":
+            if kind != "blank":
+                # interned, so the operator and name strings that the
+                # expressions keep are shared, not one copy per token
+                toks.append(Token(kind, sys.intern(tok),
+                                  SourceSpan(filename, line, col, line, col + len(tok) - 1)))
+            col += len(tok)
     toks.append(Token("eof", "", SourceSpan(filename, line, col, line, col)))
     return toks
 

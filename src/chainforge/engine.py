@@ -105,12 +105,13 @@ def state_equality_expr(model: Model, state) -> Expr:
     return conj(*parts)
 
 
-def strengthened_invariant(model: Model, limit: int = 4096) -> Expr:
-    """Declared invariant conjoined with the exact reachable-state set,
-    computed by explicit exploration (small models only)."""
+def strengthened_invariant(model: Model, init_expr: Expr, limit: int = 4096) -> Expr:
+    """Declared invariant conjoined with the exact set of states reachable
+    from `init_expr`, computed by explicit exploration; above `limit`
+    states, the declared invariant alone."""
     if model.state_space_size() > limit:
         return model.state_invariant
-    reach = reachable_states(model)
+    reach = reachable_states(model, init_expr)
     return conj(model.state_invariant,
                 disj(*(state_equality_expr(model, s) for s in reach)))
 
@@ -268,7 +269,7 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     validate_inputs(model, props, init_expr, final_expr)
     invariant = model.state_invariant
     if cfg.strengthen_invariant:
-        invariant = strengthened_invariant(model)
+        invariant = strengthened_invariant(model, init_expr)
     if cfg.solver_factory is not None:
         solver = cfg.solver_factory()
     else:
@@ -326,6 +327,8 @@ def _generate(unr: Unrolling, props: list[Property], init_expr: Expr,
             break
         chains.extend(res.chains)
     if not reason:
+        # one chain per class, so no one abstract path describes the result
+        stats.abstract_path = stats.abstract_weights = None
         return ChainResult(chains, MULTI, graph=g)
     return ChainResult([], FAILED, bounded(reason, out), graph=g)
 

@@ -527,11 +527,12 @@ class StateSpace:
         return dist
 
 
-def reachable_states(m: Model) -> list[dict[str, Value]]:
-    """Every state reachable from the initial-state set under legal
-    inputs without leaving the state invariant, in `all_states()` order."""
+def reachable_states(m: Model, init: Expr) -> list[dict[str, Value]]:
+    """Every state reachable from the states satisfying `init` under
+    legal inputs without leaving the state invariant, in `all_states()`
+    order."""
     space = StateSpace(m)
-    reach = space.distances(dict.fromkeys(space.where(m.init_expr()), 0))
+    reach = space.distances(dict.fromkeys(space.where(init), 0))
     return [space.states[i] for i in sorted(reach)]
 
 

@@ -289,6 +289,53 @@ def test_non_ascii_digit_is_an_unexpected_character():
         [("unexpected character '²'", 1, 48)]
 
 
+def _tokens(text):
+    return [(t.kind, t.text, t.span.line, t.span.col, t.span.end_line, t.span.end_col)
+            for t in dsl.tokenize(text, "t")]
+
+
+TOKENS = [
+    # a tab is one column, CR is a blank, LF starts a line
+    ("a\tbc\r\n d", [("ident", "a", 1, 1, 1, 1), ("ident", "bc", 1, 3, 1, 4),
+                      ("ident", "d", 2, 2, 2, 2), ("eof", "", 2, 3, 2, 3)]),
+    # a comment does not move the column, so eof sits at its start
+    ("x1 // done", [("ident", "x1", 1, 1, 1, 2), ("eof", "", 1, 4, 1, 4)]),
+    ("x //c\n//d", [("ident", "x", 1, 1, 1, 1), ("eof", "", 2, 1, 2, 1)]),
+    ("", [("eof", "", 1, 1, 1, 1)]),
+    # an identifier starts with a letter or '_' and goes on with any
+    # letter or digit; an integer is ASCII digits only
+    ("é1 x² _9 12ab", [("ident", "é1", 1, 1, 1, 2), ("ident", "x²", 1, 4, 1, 5),
+                       ("ident", "_9", 1, 7, 1, 8), ("int", "12", 1, 10, 1, 11),
+                       ("ident", "ab", 1, 12, 1, 13), ("eof", "", 1, 14, 1, 14)]),
+    # the longest punctuation wins
+    ("a==b=>c..d", [("ident", "a", 1, 1, 1, 1), ("punct", "==", 1, 2, 1, 3),
+                    ("ident", "b", 1, 4, 1, 4), ("punct", "=>", 1, 5, 1, 6),
+                    ("ident", "c", 1, 7, 1, 7), ("punct", "..", 1, 8, 1, 9),
+                    ("ident", "d", 1, 10, 1, 10), ("eof", "", 1, 11, 1, 11)]),
+    ("x'=!y<=-1", [("ident", "x", 1, 1, 1, 1), ("punct", "'", 1, 2, 1, 2),
+                   ("punct", "=", 1, 3, 1, 3), ("punct", "!", 1, 4, 1, 4),
+                   ("ident", "y", 1, 5, 1, 5), ("punct", "<=", 1, 6, 1, 7),
+                   ("punct", "-", 1, 8, 1, 8), ("int", "1", 1, 9, 1, 9),
+                   ("eof", "", 1, 10, 1, 10)]),
+]
+
+
+@pytest.mark.parametrize("text,tokens", TOKENS)
+def test_tokenize_kinds_texts_and_spans(text, tokens):
+    assert _tokens(text) == tokens
+
+
+@pytest.mark.parametrize("text,char,line,col", [
+    ("²", "²", 1, 1), ("a ٣", "٣", 1, 3), ("1²", "²", 1, 2),
+    ("a\t\r\n  @", "@", 2, 3), ("x // ok\n\x0b", "\x0b", 2, 1)])
+def test_tokenize_rejects_a_character_no_token_starts_with(text, char, line, col):
+    with pytest.raises(dsl.ParseError) as info:
+        dsl.tokenize(text, "t")
+    d = info.value.diagnostic
+    assert d.message == f"unexpected character {char!r}"
+    assert d.span == dsl.SourceSpan("t", line, col, line, col)
+
+
 def test_too_deep_an_expression_is_a_diagnostic():
     """A tree deeper than the recursion limit allows is an error
     diagnostic from every entry point; 400 conjuncts still parse."""

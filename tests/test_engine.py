@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from chainforge.dsl import parse_properties
+from chainforge.dsl import parse_properties, parse_state_set
 from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
                                generate_chain, partition_vertex_sets)
 from chainforge.model import (Property, SortError, TRUE, disj, eval_expr, replay,
@@ -175,6 +175,20 @@ def test_partition_two_unreachable_clusters():
         _check_chain(model, props, final, c)
         covered |= set(c.covers)
     assert covered == {"pa", "pb"}
+
+
+def test_multi_chain_result_names_no_abstract_path():
+    """Each class's chain is concretised from its own abstract path, so a
+    multi-chain result names none; a single chain names its own."""
+    model, props, i_expr = _two_cluster_scenario()
+    res = generate_chain(model, props, i_expr, TRUE, EngineConfig(k_max=8))
+    assert res.status == MULTI and len(res.chains) == 2
+    assert res.stats.abstract_path is None
+    assert res.stats.abstract_weights is None
+    one = generate_chain(model, props[:1], i_expr, TRUE, EngineConfig(k_max=8))
+    assert one.status == MINIMAL
+    assert one.stats.abstract_path == ["I", "pa", "F"]
+    assert one.stats.abstract_weights == [1, 1]
 
 
 def test_partition_disabled_fails():
@@ -462,6 +476,21 @@ def test_strengthened_invariant_keeps_result(cruise_model, cruise_props,
         ("p3", "p1", 2), ("p3", "F", 2),
         ("p4", "p1", 2), ("p4", "p3", 2),
     }
+
+
+def test_strengthened_invariant_explores_from_the_start_set(cruise_model,
+                                                           cruise_props,
+                                                           cruise_final):
+    """A start set other than the declared init: the states reachable
+    from it are kept, so strengthening keeps the chain found without it."""
+    start, _ = parse_state_set("mode == OFF && speed == 1 && enable", cruise_model)
+    for strengthen in (False, True):
+        res = generate_chain(cruise_model, cruise_props, start, cruise_final,
+                             EngineConfig(strengthen_invariant=strengthen))
+        assert res.status == MINIMAL, res.reason
+        assert res.total_length == 9
+        assert eval_expr(start, res.chains[0].trace[0])
+        _check_chain(cruise_model, cruise_props, cruise_final, res.chains[0])
 
 
 def test_oracle_lower_bound_on_random_models():

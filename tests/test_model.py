@@ -128,7 +128,8 @@ def test_cruise_mode_update_eval(cruise_model):
 
 
 def test_cruise_reachable_set_matches_published_machine(cruise_model):
-    reach = {(s["mode"], s["speed"], s["enable"]) for s in reachable_states(cruise_model)}
+    reach = {(s["mode"], s["speed"], s["enable"])
+             for s in reachable_states(cruise_model, cruise_model.init_expr())}
     assert reach == {
         ("OFF", 0, False), ("OFF", 1, False), ("OFF", 0, True), ("ON", 1, True),
         ("DIS", 2, True), ("DIS", 0, True), ("OFF", 2, False), ("OFF", 2, True),
@@ -145,7 +146,8 @@ def test_state_space_helpers_on_cruise(cruise_model):
     init = space.where(cruise_model.init_expr())
     assert [space.states[i] for i in init] == [cruise_model.initial_state()]
     dist = space.distances(dict.fromkeys(init, 0))
-    assert [space.states[i] for i in sorted(dist)] == reachable_states(cruise_model)
+    assert [space.states[i] for i in sorted(dist)] == \
+        reachable_states(cruise_model, cruise_model.init_expr())
     assert space.distances(dict.fromkeys(init, 0), cap=1) == \
         {i: d for i, d in dist.items() if d <= 1}
     enabled = cruise_model.state_ref("enable")
@@ -163,7 +165,7 @@ def test_invariant_that_cuts_a_cycle_stops_exploration():
     space = StateSpace(m)
     assert [s["s"] for s in space.states] == [0, 1, 3]
     assert space.succ(0, 0) == 1 and space.succ(1, 0) is None
-    assert reachable_states(m) == [{"s": 0}, {"s": 1}]
+    assert reachable_states(m, m.init_expr()) == [{"s": 0}, {"s": 1}]
     behind = Property("p", state_eq(m, 3), TRUE)
     assert oracle_min_chain(m, [behind], state_eq(m, 0), state_eq(m, 0)) is None
 

@@ -15,11 +15,12 @@ token) drawn from a fixed seed, so both checkouts parse the same texts.
 Properties and state sets are parsed against their unmutated model.
 
 Per mutant the JSON holds the edits, the diagnostics as (severity,
-message, line, col), and, when there is no error, the pretty-printed
-result (`format_model`, `format_properties` or `format_expr`); a crash
-is recorded as its exception.  `--compare` lists the mutants whose
-records differ and exits 1 if any do, then counts per file the mutants
-accepted, rejected and crashed and the distinct diagnostic messages.
+message, line, col, end line, end col), and, when there is no error,
+the pretty-printed result (`format_model`, `format_properties` or
+`format_expr`); a crash is recorded as its exception.  `--compare`
+lists the mutants whose records differ and exits 1 if any do, then
+counts per file the mutants accepted, rejected and crashed and the
+distinct diagnostic messages.
 This is a tool, not part of the test suite.
 """
 
@@ -40,11 +41,13 @@ SEED = 0
 PIECE = re.compile(r"\s+|//[^\n]*|[A-Za-z_]\w*|\d+|==|!=|<=|&&|\|\||=>|\.\.|.", re.S)
 BLANK = re.compile(r"\s|//")
 
-#: Tokens an edit may insert, besides those of the text itself.
+#: Tokens an edit may insert, besides those of the text itself; '²' (a
+#: digit that is no letter) and 'é' (a letter) probe which characters
+#: may start or continue an identifier.
 EXTRA = ["==", "!=", "<=", "&&", "||", "=>", "..", "{", "}", "(", ")", ":", ";",
          ",", "?", "'", "=", "<", "!", "+", "-", "true", "false", "next", "bool",
          "model", "state", "input", "assume", "assert", "invariant", "init",
-         "trans", "property", "0", "1", "7", "zz", "@"]
+         "trans", "property", "0", "1", "7", "zz", "@", "²", "é"]
 
 
 def sources(root: Path, workloads) -> list[tuple[str, str, str, str]]:
@@ -99,7 +102,8 @@ def parse_record(dsl, kind: str, text: str, model) -> dict:
     except Exception as ex:  # a crash is a difference like any other
         return {"crash": f"{type(ex).__name__}: {ex}"}
     ok = not any(d.severity == "error" for d in diags)
-    return {"diags": [[d.severity, d.message, d.span.line, d.span.col] for d in diags],
+    return {"diags": [[d.severity, d.message, d.span.line, d.span.col,
+                       d.span.end_line, d.span.end_col] for d in diags],
             "out": fmt(result) if ok else None}
 
 
