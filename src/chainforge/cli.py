@@ -19,7 +19,8 @@ from typing import Optional
 from . import __version__
 from .dsl import parse_model, parse_properties, parse_state_set
 from .engine import EngineConfig, FAILED, ChainResult, generate_chain
-from .model import Model, ModelError, SortError, TestChain, eval_expr, replay
+from .model import (EvalError, Model, ModelError, SortError, TestChain, eval_expr,
+                    replay)
 from .oracle import OracleLimit, oracle_min_chain, random_baseline
 from .sat import SolverLimit
 
@@ -309,11 +310,17 @@ def cmd_bench(args) -> int:
             opt = oracle_min_chain(model, props, init_expr, final_expr)
         except OracleLimit:
             opt = None
-        base = random_baseline(model, props, init_expr, final_expr,
-                               budget=exp.get("baseline_budget", 20000),
-                               seed=args.seed)
+        try:
+            base = random_baseline(model, props, init_expr, final_expr,
+                                   budget=exp.get("baseline_budget", 20000),
+                                   seed=args.seed)
+            random_col = f"{base.coverage * 100:.0f}%/{base.total_length}"
+        except EvalError:   # no start state to walk from
+            random_col = "-"
         verdict = "ok"
-        if "tcs" in exp and tcs != exp["tcs"]:
+        if result.status == FAILED and exp.get("tcs") != 0:
+            verdict = "no chain"
+        elif "tcs" in exp and tcs != exp["tcs"]:
             verdict = f"tcs!={exp['tcs']}"
         elif "len" in exp and ln != exp["len"]:
             verdict = f"len!={exp['len']}"
@@ -322,8 +329,7 @@ def cmd_bench(args) -> int:
         elif opt is not None and result.chains and len(result.chains) == 1 and ln < opt:
             verdict = "below oracle optimum"  # impossible unless buggy
         rows.append((bench_dir.name, tcs, ln, f"{dt:.2f}",
-                     opt if opt is not None else "-",
-                     f"{base.coverage * 100:.0f}%/{base.total_length}", verdict))
+                     opt if opt is not None else "-", random_col, verdict))
     header = ("benchmark", "tcs", "len", "time", "oracle", "random", "verdict")
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
     for r in [header] + rows:

@@ -1,10 +1,10 @@
 """Bit-blasting of finite-domain expressions to CNF.
 
 Bounded integers are encoded in ceil(log2(size)) bits as an offset from
-their lower bound, with range-blocking clauses on declared variables;
-enums use a binary index encoding, also range-blocked.  Arithmetic is
-exact (intermediate widths grow as needed) and saturation is applied by
-`clamp` where results flow into a declared variable.
+their lower bound, with range-blocking clauses on declared variables; an
+enum is the same offset vector over its constants' indices, from 0.
+Arithmetic is exact (intermediate widths grow as needed) and saturation
+is applied by `clamp` where results flow into a declared variable.
 
 The gate builder keeps a structural cache, folds constants, and writes
 Tseitin clauses straight into the backing solver; it can record the
@@ -39,12 +39,6 @@ class BV:
     @property
     def hi(self) -> int:
         return self.lo + self.max_off
-
-
-@dataclass(frozen=True)
-class EnumV:
-    bits: tuple[int, ...]
-    domain: EnumDomain
 
 
 class Gates:
@@ -321,7 +315,7 @@ class Gates:
 # Declared variables and expression encoding
 # ---------------------------------------------------------------------------
 
-EncodedVar = Union[int, BV, EnumV]
+EncodedVar = Union[int, BV]
 
 
 def alloc_var(gates: Gates, dom: Domain) -> EncodedVar:
@@ -334,9 +328,7 @@ def alloc_var(gates: Gates, dom: Domain) -> EncodedVar:
     bits = tuple(sol.new_var() for _ in range(w))
     for pattern in range(size, 1 << w):
         sol.add_clause([-bits[i] if (pattern >> i) & 1 else bits[i] for i in range(w)])
-    if isinstance(dom, IntRange):
-        return BV(bits, dom.lo, size - 1)
-    return EnumV(bits, dom)
+    return BV(bits, dom.lo if isinstance(dom, IntRange) else 0, size - 1)
 
 
 def decode_var(enc: EncodedVar, model_bits: list[bool], dom: Domain):
@@ -354,16 +346,17 @@ def decode_var(enc: EncodedVar, model_bits: list[bool], dom: Domain):
     return dom.constants[min(off, dom.size - 1)]
 
 
-def enum_const(gates: Gates, dom: EnumDomain, name: str) -> EnumV:
+def enum_const(gates: Gates, dom: EnumDomain, name: str) -> BV:
+    """An enum constant's index at the full width of its domain."""
     idx = dom.index(name)
     w = width_for(dom.size - 1)
-    return EnumV(tuple(gates.const(bool((idx >> i) & 1)) for i in range(w)), dom)
+    return BV(tuple(gates.const(bool((idx >> i) & 1)) for i in range(w)), 0, dom.size - 1)
 
 
 def encode_expr(e: Expr, gates: Gates,
                 look: Callable[[str, str], EncodedVar]) -> EncodedVar:
     """Encode an expression; `look(space, name)` supplies variable bits.
-    Returns a literal for boolean sorts, a BV for integers, an EnumV for
+    Returns a literal for boolean sorts and a BV for integers and
     enums."""
     if isinstance(e, Const):
         if isinstance(e.domain, BoolDomain):
@@ -381,9 +374,6 @@ def encode_expr(e: Expr, gates: Gates,
         o = encode_expr(e.other, gates, look)
         if isinstance(t, BV):
             return gates.bv_ite(c, t, o)
-        if isinstance(t, EnumV):
-            bits = tuple(gates.lite(c, t.bits[i], o.bits[i]) for i in range(len(t.bits)))
-            return EnumV(bits, t.domain)
         return gates.lite(c, t, o)
     if isinstance(e, BinOp):
         op = e.op
@@ -403,12 +393,7 @@ def encode_expr(e: Expr, gates: Gates,
         if op == "<=":
             return gates.int_le(a, b)
         # equality family
-        if isinstance(a, BV):
-            eq = gates.int_eq(a, b)
-        elif isinstance(a, EnumV):
-            eq = gates.ueq_bits(a.bits, b.bits)
-        else:
-            eq = gates.liff(a, b)
+        eq = gates.int_eq(a, b) if isinstance(a, BV) else gates.liff(a, b)
         return eq if op == "==" else -eq
     raise TypeError(f"cannot encode {e!r}")
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import sat
-from .bmc import Pin, PathCheck, Unrolling, check_path
-from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Not, Property,
+from .bmc import PathCheck, Unrolling, check_path
+from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Property,
                     SPACE_NEXT, SPACE_STATE, SPACE_INPUT, SortError, TestChain,
                     check_spaces, conj, disj, reachable_states, replay, sort_of)
 from .optimizer import (EXACT_LIMIT, AtspInstance, instance_from_closure,
@@ -31,10 +31,8 @@ FAILED = "failed"
 #: property, or no pair conflicts).
 NO_SINGLE_CHAIN = "no single chain covers the property set"
 
-#: Fixed limits of the concretisation loop: other arrival states repair
-#: asks a dead-end edge's predecessor for, vertex splits per chain, and
+#: Fixed limits of the concretisation loop: vertex splits per chain and
 #: check/repair rounds per chain.
-SIGMA_RETRIES = 3
 MAX_SPLITS = 64
 MAX_ROUNDS = 200
 
@@ -127,70 +125,30 @@ def _check_deadline(cfg: EngineConfig) -> None:
 
 def _repair(unr: Unrolling, g: ReachGraph, vs: list[int], ws: list[int],
             lo: int, hi: int, cfg: EngineConfig, stats: Stats) -> Optional[int]:
-    """Stretch the failed subpath edge by edge, anchored at the concrete
-    trigger state each successful check arrives at; on a dead end, retry
-    the previous edge with a different witness before giving up.
+    """Stretch the failed subpath edge by edge: edge j takes the fewest
+    steps, from its current weight up to `k_max`, at which the whole
+    prefix from `vs[lo]` to `vs[j + 1]` concretises with the earlier
+    edges at their stretched weights.
 
-    Returns None when the range went through with some edge stretched,
-    so the path is worth checking again.  Otherwise returns the position
-    in `vs` of the vertex to split: the dead-end edge's source, or the
-    range's second vertex when every edge went through unstretched."""
-
-    def edge_check(j: int, sigma, w: int, blocked=()) -> Optional[dict]:
-        """Edge j in exactly w steps from sigma (any trigger state when
-        None), arriving at none of the `blocked` states."""
-        src_v = g.vertices[vs[j]]
-        dst_v = g.vertices[vs[j + 1]]
-        phi = src_v.phi
-        if sigma is not None:
-            phi = conj(state_equality_expr(unr.model, sigma), phi)
-        block = conj(*(Not(state_equality_expr(unr.model, b)) for b in blocked))
-        chk = check_path(unr, [Pin(phi, src_v.psi),
-                               Pin(conj(dst_v.phi, block), dst_v.psi)], [w])
-        if not chk.feasible:
-            return None
-        return chk.trace[w]
-
-    sigma: Optional[dict] = None
-    sigma_of: dict[int, Optional[dict]] = {}
-    seen: dict[int, list[dict]] = {}
-    retries: dict[int, int] = {}
-    increments = 0
-    j = lo
-    while j < hi:
+    Returns None when some edge stretched, so the path is worth checking
+    again.  Otherwise returns the position in `vs` of the vertex to
+    split: the dead-end edge's source, or the range's second vertex when
+    the range concretises unstretched from some state of `vs[lo]`, so it
+    fails only from the states the path reaches `vs[lo]` at."""
+    pins = [g.vertices[v].pin() for v in vs]
+    old = ws[lo:hi]
+    for j in range(lo, hi):
         _check_deadline(cfg)
-        w = ws[j]
-        tau = None
-        while w <= cfg.k_max:
-            tau = edge_check(j, sigma, w)
-            if tau is not None:
-                break
-            w += 1
-        if tau is not None:
-            increments += w - ws[j]
-            ws[j] = w
-            key = (vs[j], vs[j + 1])
-            if g.weights.get(key, -1) < w:
-                g.weights[key] = w
-            sigma_of[j] = sigma
-            seen[j] = [tau]
-            sigma = tau
-            j += 1
-            continue
-        # dead end: ask the previous edge for a different arrival state
-        if j > lo and retries.get(j, 0) < SIGMA_RETRIES:
-            retries[j] = retries.get(j, 0) + 1
-            prev = j - 1
-            tau2 = edge_check(prev, sigma_of[prev], ws[prev], seen[prev])
-            if tau2 is not None:
-                seen[prev].append(tau2)
-                sigma = tau2
-                continue
-        break
-    stats.repair_increments += increments
-    if j < hi:
-        return j
-    return None if increments else lo + 1
+        w = next((w for w in range(ws[j], cfg.k_max + 1)
+                  if check_path(unr, pins[lo:j + 2], ws[lo:j] + [w]).feasible), None)
+        if w is None:
+            return j
+        stats.repair_increments += w - ws[j]
+        ws[j] = w
+        key = (vs[j], vs[j + 1])
+        if g.weights.get(key, -1) < w:
+            g.weights[key] = w
+    return None if ws[lo:hi] != old else lo + 1
 
 
 # ---------------------------------------------------------------------------

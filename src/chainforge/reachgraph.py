@@ -87,13 +87,14 @@ class ReachGraph:
                 for a, b, w in self.edges()]
 
     def to_dot(self) -> str:
+        """Nodes keyed by vertex index, so a property named like the
+        start or final vertex stays a node of its own."""
         lines = ["digraph reachgraph {", "  rankdir=LR;"]
         for v in self.vertices:
             shape = "doublecircle" if v.kind != PROP else "circle"
-            lines.append(f'  "{v.name}" [shape={shape}];')
+            lines.append(f'  {v.idx} [label="{v.name}", shape={shape}];')
         for a, b, w in self.edges():
-            lines.append(f'  "{self.vertices[a].name}" -> "{self.vertices[b].name}"'
-                         f' [label="{w}"];')
+            lines.append(f'  {a} -> {b} [label="{w}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -278,6 +278,29 @@ def test_bench_reports_unparsable_init(tmp_path, capsys):
     assert len(rows) == 1 and rows[0].rstrip().endswith("parse error")
 
 
+@pytest.mark.parametrize("exp, code, oracle, verdict", [
+    ({"init": "false"}, 2, "-", "no chain"),
+    ({"init": FINAL, "k_max": 1}, 2, "9", "no chain"),
+    ({"init": "false", "tcs": 0}, 0, "-", "ok"),
+])
+def test_bench_fails_a_row_without_a_chain(tmp_path, capsys, exp, code, oracle,
+                                           verdict):
+    """A failed generation fails its row unless expected.json pins no
+    chain; without a start state the random column reads '-'."""
+    import shutil
+    d = tmp_path / "suite" / "cruise_nochain"
+    d.mkdir(parents=True)
+    for f in ("model.rsys", "props.props"):
+        shutil.copy(CRUISE / f, d / f)
+    (d / "expected.json").write_text(json.dumps(exp))
+    assert run_cli("bench", str(tmp_path / "suite")) == code
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:3] == ["cruise_nochain", "0", "0"]
+    assert row[4] == oracle
+    assert (row[5] == "-") == (exp["init"] == "false")
+    assert " ".join(row[6:]) == verdict
+
+
 def test_replay_starts_from_the_recorded_start_state(tmp_path, capsys):
     """A chain generated from a non-default --init replays from its own
     first state, which must lie in the start-state set."""

@@ -81,10 +81,12 @@ def test_already_feasible_path_needs_no_repair(cruise_model, cruise_props,
 
 
 def test_repair_retries_another_arrival_state():
-    """p1's trigger {1, 2, 10} is one step from init at 1 and 2.  When the
-    edge check lands on 1, a self-loop that never reaches p2's trigger 5,
-    repair asks that edge for another arrival state and finishes through
-    2 (5 steps, the optimum) without rebuilding the complete graph."""
+    """p1's trigger {1, 2, 10} is one step from init at 1 and 2, and one
+    step from p2's trigger 5 only at 10.  Repair checks the prefix from
+    init through p1 and p2 as a whole, so p1 -> p2 stretches to the 3
+    steps from 2, not from 1, a self-loop that never reaches 5, and the
+    chain goes through 2 (5 steps, the optimum) without rebuilding the
+    complete graph."""
     table = [[1, 2, 6], [1, 1, 1], [3, 3, 3], [4, 4, 4], [5, 5, 5], [0, 0, 0],
              [7, 7, 7], [8, 8, 8], [9, 9, 9], [10, 10, 10], [5, 5, 5]]
     m = table_model("retry", table)
@@ -99,6 +101,65 @@ def test_repair_retries_another_arrival_state():
     assert res.stats.refinement_splits == 0
     # a failed retry would rebuild the complete graph, which reaches k = 4
     assert res.stats.k_reached == 1
+
+
+def test_repair_stretch_depends_only_on_prefix_feasibility():
+    """Workload instance multi-2-38: repair stretches each edge to the
+    fewest steps at which the prefix of the failed range concretises, so
+    the chain is 21 steps (a repair anchored at whichever state the
+    solver's model reached gave 22)."""
+    from chainforge.oracle import random_model
+    gen = random_model(1914563131, n_states=14, n_props=6, multi_state=True)
+    res = generate_chain(gen.model, gen.props, gen.init_expr, gen.final_expr,
+                         EngineConfig(k_max=60))
+    assert res.chains, res.reason
+    assert len(res.chains) == 1
+    _check_chain(gen.model, gen.props, gen.final_expr, res.chains[0])
+    assert res.total_length == 21
+    assert sum(res.stats.abstract_weights) == res.total_length
+
+
+def test_repair_names_a_split_when_the_range_goes_through_unstretched():
+    """p0's trigger {7, 10} holds 7, which no state leads to.  From 7 the
+    failed range p0, p1, p2 concretises at its weights (7 -> 3 -> 5), but
+    the path reaches p0 only at 10, from where p2 is 3 steps further
+    (10 -> 4 -> 8 -> 9 -> 5).  Repair stretches nothing, so it names the
+    range's second vertex to split instead of returning the same failed
+    path to be checked again."""
+    from chainforge.bmc import Unrolling
+    from chainforge.engine import Stats, _repair
+    from chainforge.reachgraph import ReachGraph, make_vertices
+    table = [[1, 2], [10, 10], [0, 0], [5, 5], [8, 8], [0, 0], [0, 0], [3, 3],
+             [9, 9], [5, 5], [4, 4]]
+    m = table_model("eden", table)
+    props = [Property("pa", state_eq(m, 1), TRUE),
+             Property("p0", disj(state_eq(m, 10), state_eq(m, 7)), TRUE),
+             Property("p1", disj(state_eq(m, 3), state_eq(m, 4)), TRUE),
+             Property("p2", state_eq(m, 5), TRUE)]
+    i_expr = state_eq(m, 0)
+    g = ReachGraph(make_vertices(props, i_expr, i_expr), final_idx=5)
+    vs, ws, stats = [0, 1, 2, 3, 4, 5], [1, 1, 1, 1, 1], Stats()
+    assert _repair(Unrolling(m), g, vs, ws, 2, 4, EngineConfig(k_max=12), stats) == 3
+    assert ws == [1, 1, 1, 1, 1]
+    assert stats.repair_increments == 0
+
+
+def test_unstretched_repair_splits_and_reaches_the_optimum():
+    """A random table model on which the failed range goes through
+    unstretched; splitting its second vertex gives the optimal chain."""
+    table = [[1, 4], [9, 12], [7, 10], [14, 5], [16, 9], [3, 4], [17, 13],
+             [3, 10], [16, 7], [16, 8], [5, 5], [14, 7], [12, 11], [4, 14],
+             [14, 0], [12, 5], [12, 16], [1, 15]]
+    m = table_model("split", table)
+    members = [[8, 13], [15, 11, 10], [2, 7, 6], [12, 0], [14, 16]]
+    props = [Property(f"p{j}", disj(*(state_eq(m, s) for s in ss)), TRUE)
+             for j, ss in enumerate(members)]
+    i_expr = state_eq(m, 0)
+    res = generate_chain(m, props, i_expr, i_expr, EngineConfig(k_max=12))
+    assert res.chains, res.reason
+    _check_chain(m, props, i_expr, res.chains[0])
+    assert res.stats.refinement_splits == 1
+    assert res.total_length == 9 == oracle_min_chain(m, props, i_expr, i_expr)
 
 
 # -- refinement: repair cannot fix a trigger member that is a dead end -------

@@ -158,4 +158,23 @@ def test_dot_export(cruise_model, cruise_props, cruise_final):
     out = build_reach_graph(unr, cruise_props, cruise_final, cruise_final, k_max=50)
     dot = out.graph.to_dot()
     assert dot.startswith("digraph")
-    assert '"I" -> "p4" [label="2"]' in dot
+    assert '  0 [label="I", shape=doublecircle];' in dot
+    assert '  4 [label="p4", shape=circle];' in dot
+    assert '  0 -> 4 [label="2"];' in dot
+
+
+def test_dot_keeps_a_property_named_like_the_start_vertex_apart(
+        cruise_model, cruise_props, cruise_final):
+    """A property named I is its own node, not merged into the start
+    vertex with a self-edge."""
+    import dataclasses
+    props = [dataclasses.replace(p, name="I") if p.name == "p4" else p
+             for p in cruise_props]
+    out = build_reach_graph(Unrolling(cruise_model), props, cruise_final,
+                            cruise_final, k_max=50)
+    lines = out.graph.to_dot().splitlines()
+    assert '  0 [label="I", shape=doublecircle];' in lines
+    assert '  4 [label="I", shape=circle];' in lines
+    assert '  0 -> 4 [label="2"];' in lines
+    edges = [l.split()[:3] for l in lines if "->" in l]
+    assert edges and all(a != b for a, _, b in edges)

@@ -22,13 +22,13 @@ included), and the explicit-state references `oracle_min_chain` and `pair_min_we
 the instance's full property set.
 
 `--compare` lists the instances whose records differ and exits 1 if any
-do; a status change also shows both statuses, total chain lengths and
-the oracle's minimal length, and a closing line per file counts its
-certified instances and those longer than the oracle's minimum.  Then
-each file gets one line per workload and workload seed with the total
-chain length, the certified count, the solver's solves and conflicts,
-and the repair increments, so a change to the search shows its
-aggregate effect next to the per-instance list.
+do; a change of status or of total chain length also shows both
+statuses, total chain lengths and the oracle's minimal length, and a
+closing line per file counts its certified instances and those longer
+than the oracle's minimum.  Then each file gets one line per workload
+and workload seed with the total chain length, the certified count, the
+solver's solves and conflicts, and the repair increments, so a change to
+the search shows its aggregate effect next to the per-instance list.
 `Stats` fields that only one of the two files has are skipped, so a
 change may add or drop a field.  This is a tool, not part of the test
 suite.
@@ -193,7 +193,7 @@ def compare(path_a: Path, path_b: Path) -> int:
         diff = differences(a[name], b[name])
         if diff:
             line = f"{name}: {', '.join(diff)}"
-            if "status" in diff:
+            if "status" in diff or total_length(a[name]) != total_length(b[name]):
                 line += f" [{outcome(a[name])} -> {outcome(b[name])}]"
             print(line)
             bad += 1
