@@ -99,6 +99,8 @@ def _result_json(model: Model, result: ChainResult, cfg_args) -> dict:
         "chains": [_chain_json(c) for c in result.chains],
         "stats": {"k_reached": st.k_reached,
                   "solver_calls": st.solver_calls,
+                  "solver_conflicts": st.solver_conflicts,
+                  "solver_decisions": st.solver_decisions,
                   "repair_increments": st.repair_increments,
                   "refinement_splits": st.refinement_splits,
                   "partitions": st.partitions,

@@ -51,6 +51,8 @@ class EngineConfig:
 class Stats:
     k_reached: int = 0
     solver_calls: int = 0
+    solver_conflicts: int = 0
+    solver_decisions: int = 0
     repair_increments: int = 0
     refinement_splits: int = 0
     partitions: int = 0
@@ -237,6 +239,8 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
         result = _generate(unr, list(props), init_expr, final_expr, cfg, stats)
     finally:
         stats.solver_calls = solver.stats_solves
+        stats.solver_conflicts = solver.stats_conflicts
+        stats.solver_decisions = solver.stats_decisions
         stats.wall_time_s = time.perf_counter() - t0
     result.stats = stats
     return result

@@ -38,6 +38,15 @@ class Solver:
     """CDCL with two-watched literals, activity-based decisions, phase
     saving, Luby restarts, and minisat-style assumption handling.
 
+    `assign` is indexed by literal: `assign[l]` is the value of `l` for
+    `l = v` and `l = -v` alike, the negative literals sitting at the end
+    of the list through Python's negative indexing.  Its capacity doubles
+    as variables are added, so the slots between the last variable and
+    the capacity, on either side, are unused.  A value is 1 or -1 for an
+    assignment above level 0 and 2 or -2 for one at level 0, so a read
+    takes one index and no sign branch, and a literal reading 2 is true
+    for good.
+
     Decisions pick the unassigned variable of highest activity, the lowest
     index on ties.  `score` holds a variable's activity while it is
     unassigned and -1.0 once it is assigned (slot 0 is always -1.0), so a
@@ -54,7 +63,7 @@ class Solver:
         self.nvars = 0
         self.clauses: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
-        self.assign: list[int] = [0]          # 0 unknown, 1 true, -1 false
+        self.assign: list[int] = [0]          # by literal: 0 unknown, ±1, ±2 at level 0
         self.level: list[int] = [0]
         self.reason: list[Optional[int]] = [None]
         self.activity: list[float] = [0.0]
@@ -70,6 +79,7 @@ class Solver:
         self.deadline = deadline
         self.verify_models = verify_models
         self.stats_conflicts = 0
+        self.stats_decisions = 0
         self.stats_solves = 0
 
     # -- variables and clauses ----------------------------------------------
@@ -77,7 +87,13 @@ class Solver:
     def new_var(self) -> int:
         self.nvars += 1
         v = self.nvars
-        self.assign.append(0)
+        a = self.assign
+        cap = len(a) >> 1                     # variables `assign` has slots for
+        if v > cap:
+            # double the capacity: the negative literals keep their
+            # distance from the end of the list
+            grow = cap or 1
+            self.assign = a[:cap + 1] + [0] * (2 * grow) + a[cap + 1:]
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
@@ -88,21 +104,19 @@ class Solver:
         self.watches[-v] = []
         return v
 
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def add_clause(self, lits: Sequence[int]) -> None:
         if not self.ok:
             return
-        self._backtrack(0)
+        if self.trail_lim:
+            self._backtrack(0)
         # every assigned variable is now at level 0
+        assign = self.assign
         out: list[int] = []
         for l in lits:
-            val = self._value(l)
-            if val == 1:
+            val = assign[l]
+            if val > 0:
                 return  # already satisfied for good
-            if val == -1 or l in out:
+            if val < 0 or l in out:
                 continue  # permanently false or repeated literal
             if -l in out:
                 return  # tautology
@@ -124,13 +138,14 @@ class Solver:
     # -- trail ----------------------------------------------------------------
 
     def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
-        val = self._value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
-        v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else -1
+        assign = self.assign
+        val = assign[lit]
+        if val:
+            return val > 0
+        val = 1 if self.trail_lim else 2
+        assign[lit] = val
+        assign[-lit] = -val
+        v = lit if lit > 0 else -lit
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.score[v] = -1.0
@@ -146,8 +161,8 @@ class Solver:
         assign, phase = self.assign, self.phase
         score, activity = self.score, self.activity
         for lit in trail[bound:]:
+            assign[lit] = assign[-lit] = 0
             v = lit if lit > 0 else -lit
-            assign[v] = 0
             phase[v] = lit > 0
             score[v] = activity[v]
         del trail[bound:]
@@ -156,10 +171,12 @@ class Solver:
 
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause index or None.
-        `_value` and `_enqueue` are inlined over local bindings."""
+        `_enqueue` is inlined over local bindings.  A binary clause has
+        no other literal to watch, and a ternary one has just `c[2]`."""
         clauses, watches, trail = self.clauses, self.watches, self.trail
         assign, level, reason, score = self.assign, self.level, self.reason, self.score
         cur_level = len(self.trail_lim)
+        true = 1 if cur_level else 2
         qhead = self.qhead
         while qhead < len(trail):
             false_lit = -trail[qhead]
@@ -176,36 +193,45 @@ class Solver:
                 if first == false_lit:
                     first = c[0] = c[1]
                     c[1] = false_lit
-                if first > 0:
-                    v, val = first, assign[first]
-                else:
-                    v, val = -first, -assign[-first]
-                if val == 1:
-                    if level[v]:
+                val = assign[first]
+                if val > 0:
+                    if val == 1:
                         watch[j] = ci
                         j += 1
                     # else: satisfied at level 0 for good; stop watching
                     continue
-                for k in range(2, len(c)):
-                    q = c[k]
-                    if (assign[q] if q > 0 else -assign[-q]) != -1:
+                size = len(c)
+                if size == 3:
+                    q = c[2]
+                    if assign[q] >= 0:
                         c[1] = q
-                        c[k] = false_lit
+                        c[2] = false_lit
                         watches[q].append(ci)
-                        break
-                else:
-                    watch[j] = ci
-                    j += 1
-                    if val == -1:
-                        # conflict: keep remaining watches in place
-                        del watch[j:i]
-                        self.qhead = qhead
-                        return ci
-                    assign[v] = 1 if first > 0 else -1
-                    level[v] = cur_level
-                    reason[v] = ci
-                    score[v] = -1.0
-                    trail.append(first)
+                        continue
+                elif size > 3:
+                    for k in range(2, size):
+                        q = c[k]
+                        if assign[q] >= 0:
+                            c[1] = q
+                            c[k] = false_lit
+                            watches[q].append(ci)
+                            break
+                    if c[1] != false_lit:
+                        continue  # moved to a new watch
+                watch[j] = ci
+                j += 1
+                if val:
+                    # conflict: keep remaining watches in place
+                    del watch[j:i]
+                    self.qhead = qhead
+                    return ci
+                assign[first] = true
+                assign[-first] = -true
+                v = first if first > 0 else -first
+                level[v] = cur_level
+                reason[v] = ci
+                score[v] = -1.0
+                trail.append(first)
             del watch[j:]
         self.qhead = qhead
         return None
@@ -218,16 +244,22 @@ class Solver:
         if self.assign[v] == 0:
             self.score[v] = activity[v]
         if activity[v] > 1e100:
-            assign, score = self.assign, self.score
-            for i in range(1, self.nvars + 1):
-                activity[i] *= 1e-100
-                if assign[i] == 0:
-                    score[i] = activity[i]
-            self.var_inc *= 1e-100
+            self._rescale()
+
+    def _rescale(self) -> None:
+        activity, assign, score = self.activity, self.assign, self.score
+        for i in range(1, self.nvars + 1):
+            activity[i] *= 1e-100
+            if assign[i] == 0:
+                score[i] = activity[i]
+        self.var_inc *= 1e-100
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
+        """First-UIP learning.  `_bump` is inlined: every literal of a
+        conflict or reason clause is assigned, so no score changes."""
         learnt = [0]
         seen, level, trail = self.seen, self.level, self.trail
+        activity, var_inc = self.activity, self.var_inc
         counter = 0
         lit = 0
         idx = len(trail) - 1
@@ -237,19 +269,23 @@ class Solver:
             for q in reason_clause:
                 if q == lit:
                     continue
-                v = abs(q)
+                v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
+                    activity[v] += var_inc
+                    if activity[v] > 1e100:
+                        self._rescale()
+                        var_inc = self.var_inc
                     if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(trail[idx])]:
+            while True:
+                lit = trail[idx]
                 idx -= 1
-            lit = trail[idx]
-            idx -= 1
-            v = abs(lit)
+                v = lit if lit > 0 else -lit
+                if seen[v]:
+                    break
             seen[v] = False
             counter -= 1
             if counter == 0:
@@ -360,8 +396,8 @@ class Solver:
             lvl = len(self.trail_lim)
             if lvl < len(assumptions):
                 a = assumptions[lvl]
-                val = self._value(a)
-                if val == -1:
+                val = self.assign[a]
+                if val < 0:
                     core = self._analyze_final(a, assumption_set)
                     self._backtrack(0)
                     return SolveResult(UNSAT, core=core)
@@ -371,13 +407,14 @@ class Solver:
                 continue
             lit = self._decide()
             if lit == 0:
-                model = [a == 1 for a in self.assign]
+                model = [a > 0 for a in self.assign[:self.nvars + 1]]
                 self._backtrack(0)
                 if self.verify_models:
                     for c in self.clauses:
                         assert any(model[abs(l)] == (l > 0) for l in c), \
                             "model violates a clause"
                 return SolveResult(SAT, model=model)
+            self.stats_decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
 
@@ -433,6 +470,7 @@ class ExternalSolver:
         self.deadline = deadline
         self.stats_solves = 0
         self.stats_conflicts = 0
+        self.stats_decisions = 0
 
     def new_var(self) -> int:
         self.nvars += 1

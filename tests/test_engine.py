@@ -71,6 +71,8 @@ def test_repair_example(cruise_model, broken_chain_props, cruise_final):
                             cruise_final) == 4
     # the failed path check and repair count every solve they cost
     assert st.solver_calls == solver.stats_solves
+    assert st.solver_conflicts == solver.stats_conflicts
+    assert st.solver_decisions == solver.stats_decisions > 0
 
 
 def test_already_feasible_path_needs_no_repair(cruise_model, cruise_props,

@@ -65,6 +65,18 @@ def test_incremental_clause_growth():
     assert res.status == "unsat"
     assert res.core == [-a]
     assert s.solve().status == "sat"
+    assert s.assign[a] == s.assign[-b] == 2          # both fixed at level 0
+    c, d = s.new_var(), s.new_var()
+    n = len(s.clauses)
+    s.add_clause([c, a])                 # true at level 0: dropped
+    assert len(s.clauses) == n
+    s.trail_lim.append(len(s.trail))     # a decision level left open
+    s._enqueue(c, None)
+    s.add_clause([d, -a, b, -c])         # false at level 0: removed
+    assert s.clauses[n] == [d, -c] and s.assign[c] == 0
+    s.add_clause([-a, b])                # nothing left: the formula is unsat
+    assert not s.ok
+    assert s.solve().status == "unsat"
 
 
 def test_conflict_budget_raises():
@@ -115,6 +127,53 @@ def test_models_under_assumptions_respect_them():
             assert set(res.core) <= set(assumptions)
             # re-solving with only the core stays unsat
             assert s.solve(res.core).status == "unsat"
+
+
+def _check_layout(s):
+    """Both slots of each variable mirror each other and agree with the
+    trail: ±2 when assigned at level 0, ±1 above it, 0 when unassigned.
+    The slots past the last variable stay 0."""
+    on_trail = {abs(l): l for l in s.trail}
+    for v in range(1, s.nvars + 1):
+        assert s.assign[v] == -s.assign[-v], v
+        lit = on_trail.get(v)
+        if lit is None:
+            assert s.assign[v] == 0, v
+        else:
+            assert s.assign[lit] == (2 if s.level[v] == 0 else 1), v
+    assert not any(s.assign[s.nvars + 1:len(s.assign) - s.nvars])
+    assert len(s.assign) <= 4 * s.nvars + 1
+
+
+def test_literal_indexed_assignment_across_capacity_doublings():
+    rng = random.Random(23)
+    s = Solver()
+    fixed = set()                        # literals fixed true at level 0
+    for size in (1, 2, 5, 11, 30, 70):
+        while s.nvars < size:            # grows while levels above 0 are open
+            s.new_var()
+            _check_layout(s)
+        free = [v for v in range(1, s.nvars + 1) if s.assign[v] == 0]
+        for v in rng.sample(free, (len(free) + 2) // 3):
+            lit = rng.choice((v, -v))
+            s.add_clause([lit])
+            fixed.add(lit)
+        _check_layout(s)
+        for _ in range(3):
+            free = [v for v in range(1, s.nvars + 1) if s.assign[v] == 0]
+            s.trail_lim.append(len(s.trail))
+            for v in rng.sample(free, (len(free) + 3) // 4):
+                s._enqueue(rng.choice((v, -v)), None)
+            _check_layout(s)
+    assert s.trail_lim and len(s.trail) > len(fixed)
+    s._backtrack(0)
+    _check_layout(s)
+    assert set(s.trail) == fixed
+    assert {l for l in range(-s.nvars, s.nvars + 1) if s.assign[l]} == \
+        fixed | {-l for l in fixed}
+    res = s.solve()
+    assert res.status == "sat" and len(res.model) == s.nvars + 1
+    assert all(lit_value(res.model, l) for l in fixed)
 
 
 def _reference_decision(s):
