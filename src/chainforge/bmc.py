@@ -17,7 +17,9 @@ never assign or propagate them.
 
 `simple_run_exists` bounds depth rather than probing it: it tells the
 k-reach build when deeper queries from a source can find nothing (the
-recurrence diameter as a completeness threshold).
+recurrence diameter as a completeness threshold).  `canonical_failure`
+names a failed path range that follows from feasibility answers alone,
+so no result of the engine hangs on which unsat core the solver returns.
 """
 
 from __future__ import annotations
@@ -272,12 +274,13 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
     """Which of `pairs` (key -> (src Pin, dst Pin)) are witnessed by some
     exactly-k-step run?  Returns the set of their keys.
 
-    Each pair gets a selector that implies its pin literals.  One witness
-    query asks, under a guard, for any selector of the pairs still open;
-    every pair whose pin literals all hold in the witness is removed,
-    until the query is unsatisfiable.  The selectors share one scope and
-    each guard has its own, so the guard is retired right after its
-    solve."""
+    Each pair gets a selector that implies its pin literals, and one
+    guard implies that some selector holds; every witness query solves
+    under that guard.  Every pair whose pin literals all hold in the
+    witness is removed and its selector fixed false at level 0, until
+    the query is unsatisfiable.  So the depth keeps one query, and what
+    the solver learns under the guard carries over to its later
+    witnesses.  The selectors and the guard share one scope."""
     if not pairs:
         return set()
     unr.ensure(max(k, 1))
@@ -291,11 +294,10 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
             for lit in lits:
                 unr.pin(s, lit)
             remaining[key] = (s, lits)
+        g = fresh()
+        unr.pin(g, *(s for s, _ in remaining.values()))
         while remaining:
-            with unr.scope() as guard:
-                g = guard()
-                unr.pin(g, *(s for s, _ in remaining.values()))
-                res = unr.solver.solve([g])
+            res = unr.solver.solve([g])
             if res.status == sat.UNSAT:
                 break
             hits = [key for key, (_, lits) in remaining.items()
@@ -304,7 +306,7 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
                 raise BmcError("k-reach witness matched no pending pair")
             found.update(hits)
             for key in hits:
-                del remaining[key]
+                unr.solver.add_clause([-remaining.pop(key)[0]])
     return found
 
 
@@ -360,34 +362,99 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
     weights) and trace.  Infeasible: returns the smallest contiguous
     vertex range covering the solver's assumption core as it is (one
     solve either way), widened to at least three vertices; a backend
-    that gives no core blames the whole path."""
-    if len(pins) != len(weights) + 1:
-        raise ValueError("need exactly one weight per consecutive vertex pair")
-    offsets = list(accumulate(weights, initial=0))
-    total = offsets[-1]
-    unr.ensure(max([total] + [o + 1 for p, o in zip(pins, offsets) if p.psi is not None]))
-    tags = []
+    that gives no core blames the whole path.  Which core comes back
+    depends on the solver's search; `canonical_failure` names a range
+    that does not."""
     with unr.scope() as fresh:
-        for p, o in zip(pins, offsets):
-            t = fresh()
-            for lit in _pin_lits(unr, p, o, with_psi=True):
-                unr.pin(t, lit)
-            tags.append(t)
+        tags = _tag_path(unr, pins, weights, fresh)
         res = unr.solver.solve(tags)
     if res.status == sat.SAT:
-        trace, inputs = unr.decode_run(res.model, total)
+        trace, inputs = unr.decode_run(res.model, sum(weights))
         return PathCheck(True, inputs=inputs, trace=trace)
-    if res.core is None:
-        return PathCheck(False, failed_lo=0, failed_hi=len(pins) - 1)
-    core = set(res.core)
-    idxs = [i for i, t in enumerate(tags) if t in core]
+    idxs = _core_indices(tags, res.core, 0, len(tags) - 1)
     if not idxs:
         raise BmcError("path query unsatisfiable without any pinned vertex; "
                        "the model's invariant or input assumption is inconsistent")
-    lo, hi = min(idxs), max(idxs)
-    while hi - lo < 2 and (lo > 0 or hi < len(pins) - 1):
+    return _failed(min(idxs), max(idxs), len(pins))
+
+
+def canonical_failure(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
+                      chk: PathCheck) -> PathCheck:
+    """`chk`, the `check_path` of this path, with a failed range that
+    depends only on which vertex sets are feasible at the path's
+    offsets, not on the core the solver returned: `hi` is the smallest
+    index whose prefix `pins[0..hi]` is infeasible, `lo` the largest
+    index for which `pins[lo..hi]` still is, widened to at least three
+    vertices as `check_path` widens.  A feasible `chk` is returned as it
+    is, with no solve.
+
+    Infeasibility is monotone in both bounds, and `chk`'s range is
+    infeasible, so `hi` is at most its end.  Each infeasible probe of a
+    shorter prefix `pins[0..hi-1]` lowers `hi` to its core's largest
+    index, until a probe is feasible.  Then every core of an infeasible
+    range ending at `hi` holds `hi`, and each infeasible probe of
+    `pins[lo+1..hi]` raises `lo` to its core's smallest index, until a
+    probe is feasible.  Each probe moves a bound or ends its search, and
+    where the searches end depends only on the probes' verdicts.  A
+    backend without cores moves a bound by one vertex per probe."""
+    if chk.feasible:
+        return chk
+    lo, hi = chk.failed_lo, chk.failed_hi
+
+    def probe(a: int, b: int) -> Optional[list[int]]:
+        res = unr.solver.solve(tags[a:b + 1])
+        if res.status == sat.SAT:
+            return None
+        return _core_indices(tags, res.core, a, b)
+
+    with unr.scope() as fresh:
+        tags = _tag_path(unr, pins[:hi + 1], weights[:hi], fresh)
+        while hi > 0:
+            shorter = probe(0, hi - 1)
+            if shorter is None:
+                break
+            lo, hi = min(shorter), max(shorter)
+        while lo < hi:
+            inner = probe(lo + 1, hi)
+            if inner is None:
+                break
+            lo = min(inner)
+    return _failed(lo, hi, len(pins))
+
+
+def _tag_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
+              fresh: Callable[[], int]) -> list[int]:
+    """One fresh tag per vertex, implying its pins at the cumulative
+    offset of the weights before it."""
+    if len(pins) != len(weights) + 1:
+        raise ValueError("need exactly one weight per consecutive vertex pair")
+    offsets = list(accumulate(weights, initial=0))
+    unr.ensure(max([offsets[-1]] + [o + 1 for p, o in zip(pins, offsets)
+                                    if p.psi is not None]))
+    tags = []
+    for p, o in zip(pins, offsets):
+        t = fresh()
+        for lit in _pin_lits(unr, p, o, with_psi=True):
+            unr.pin(t, lit)
+        tags.append(t)
+    return tags
+
+
+def _core_indices(tags: list[int], core: Optional[list[int]], a: int, b: int) -> list[int]:
+    """Indices in `a..b` of the tags in an assumption core; all of them
+    when the backend gives no core."""
+    if core is None:
+        return list(range(a, b + 1))
+    members = set(core)
+    return [i for i in range(a, b + 1) if tags[i] in members]
+
+
+def _failed(lo: int, hi: int, n: int) -> PathCheck:
+    """An infeasible check naming `lo..hi` of an n-vertex path, widened
+    to at least three vertices: to the left unless it starts the path."""
+    while hi - lo < 2 and (lo > 0 or hi < n - 1):
         if lo > 0:
             lo -= 1
-        elif hi < len(pins) - 1:
+        elif hi < n - 1:
             hi += 1
     return PathCheck(False, failed_lo=lo, failed_hi=hi)

@@ -461,7 +461,9 @@ class ExternalSolver:
     process (minisat-style interface: `solver in.cnf out`), one launch per
     solve, so any stock solver can be substituted.  Assumptions become
     unit clauses, and an UNSAT verdict carries no core (`core` is None).
-    Only the deadline bounds it; it has no conflict budget."""
+    Only the deadline bounds it; it has no conflict budget.  The process
+    reports no search counts, so `stats_conflicts` and `stats_decisions`
+    are None (not counted) rather than 0."""
 
     def __init__(self, command: str, deadline: Optional[float] = None):
         self.command = command
@@ -469,8 +471,8 @@ class ExternalSolver:
         self.clauses: list[list[int]] = []
         self.deadline = deadline
         self.stats_solves = 0
-        self.stats_conflicts = 0
-        self.stats_decisions = 0
+        self.stats_conflicts: Optional[int] = None
+        self.stats_decisions: Optional[int] = None
 
     def new_var(self) -> int:
         self.nvars += 1

@@ -6,6 +6,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from chainforge.dsl import parse_model, parse_properties, parse_state_set
+from chainforge.model import TRUE, Property, disj
+from chainforge.oracle import state_eq, table_model
+from chainforge.sat import Solver
 
 BENCHES = Path(__file__).parent.parent / "benches"
 
@@ -45,6 +48,31 @@ def broken_chain_props(cruise_model):
     props, diags = parse_properties(BROKEN_CHAIN_PROPS, cruise_model)
     assert not any(d.severity == "error" for d in diags)
     return props
+
+
+def split_table_case():
+    """An 18-state table model whose planned path fails and whose repair
+    splits a vertex, the one `test_engine.py` checks for the optimum
+    after an unstretched repair: (model, properties, the start and final
+    set)."""
+    table = [[1, 4], [9, 12], [7, 10], [14, 5], [16, 9], [3, 4], [17, 13],
+             [3, 10], [16, 7], [16, 8], [5, 5], [14, 7], [12, 11], [4, 14],
+             [14, 0], [12, 5], [12, 16], [1, 15]]
+    m = table_model("split", table)
+    members = [[8, 13], [15, 11, 10], [2, 7, 6], [12, 0], [14, 16]]
+    props = [Property(f"p{j}", disj(*(state_eq(m, s) for s in ss)), TRUE)
+             for j, ss in enumerate(members)]
+    return m, props, state_eq(m, 0)
+
+
+class PhaseTrueSolver(Solver):
+    """The embedded solver with every new variable's saved phase True, so
+    its search (decisions, models, cores) differs from the default's."""
+
+    def new_var(self) -> int:
+        v = super().new_var()
+        self.phase[v] = True
+        return v
 
 
 def cruise_input(name):

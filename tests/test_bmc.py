@@ -1,13 +1,14 @@
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from chainforge import bmc, reachgraph
-from chainforge.bmc import (BmcError, Pin, Unrolling, check_path,
-                            get_kreach_edges, simple_run_exists)
+from chainforge.bmc import (BmcError, Pin, Unrolling, canonical_failure,
+                            check_path, get_kreach_edges, simple_run_exists)
 from chainforge.dsl import parse_model, parse_properties, parse_state_set
 from chainforge.encode import assert_assignment, encode_expr
 from chainforge.engine import generate_chain
@@ -17,7 +18,7 @@ from chainforge.oracle import (int_const, pair_min_weights, random_model,
 from chainforge.sat import ExternalSolver, Solver, SolverLimit
 from chainforge.reachgraph import (ReachGraph, build_reach_graph, make_vertices,
                                    target_pairs)
-from conftest import BENCHES
+from conftest import BENCHES, PhaseTrueSolver, split_table_case
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +262,115 @@ def test_check_path_blames_the_whole_path_without_a_core(cruise_model, cruise_fi
     res = check_path(unr, [v.pin() for v in vs], [0, 1, 2])
     assert not res.feasible
     assert (res.failed_lo, res.failed_hi) == (0, 3)
+
+
+def _brute_window(unr, pins, weights):
+    """The canonical failed range by its definition, one `check_path`
+    per candidate: the shortest infeasible prefix ends at `hi`; `lo` is
+    the last start at which `pins[lo..hi]` stays infeasible, the pins
+    before it left free (true) so every pin keeps its offset; then
+    widened to three vertices."""
+    n = len(pins)
+    hi = next(h for h in range(n)
+              if not check_path(unr, pins[:h + 1], weights[:h]).feasible)
+    free = [Pin(TRUE)] * n
+    lo = max(s for s in range(hi + 1)
+             if not check_path(unr, free[:s] + pins[s:hi + 1], weights[:hi]).feasible)
+    while hi - lo < 2 and (lo > 0 or hi < n - 1):
+        if lo > 0:
+            lo -= 1
+        else:
+            hi += 1
+    return lo, hi
+
+
+def _split_table_paths():
+    """Seeded random paths over the split table's vertices: the start,
+    every property in some order, the final vertex, 1-4 steps apart."""
+    model, props, init = split_table_case()
+    vs = make_vertices(props, init, init)
+    rng = random.Random(4)
+    for _ in range(40):
+        path = [vs[0], *rng.sample(vs[1:-1], len(vs) - 2), vs[-1]]
+        yield model, [v.pin() for v in path], [rng.randint(1, 4) for _ in path[1:]]
+
+
+def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
+                                                    broken_chain_props):
+    """On the cruise broken chain and on failing paths of the split
+    table, `canonical_failure` names the range found by brute force,
+    under the default search and under one that starts every variable
+    at phase True (whose cores differ)."""
+    pins = [v.pin() for v in make_vertices(broken_chain_props, cruise_final, cruise_final)]
+    cases = [(cruise_model, pins, [0, 1, 2]), *_split_table_paths()]
+    failing = narrowed = 0
+    for model, pins, ws in cases:
+        want = _brute_window(Unrolling(model), pins, ws) \
+            if not check_path(Unrolling(model), pins, ws).feasible else None
+        for solver in (Solver(), PhaseTrueSolver()):
+            unr = Unrolling(model, solver)
+            chk = canonical_failure(unr, pins, ws, check_path(unr, pins, ws))
+            assert chk.feasible == (want is None)
+            if want is not None:
+                assert (chk.failed_lo, chk.failed_hi) == want, (pins, ws)
+        failing += want is not None
+        narrowed += want is not None and want != (0, len(pins) - 1)
+    assert failing >= 30 and narrowed >= 30
+
+
+def test_canonical_window_costs_no_solve_on_a_feasible_path(cruise_model, cruise_props,
+                                                           cruise_final):
+    unr = Unrolling(cruise_model)
+    by_name = {v.name: v for v in make_vertices(cruise_props, cruise_final, cruise_final)}
+    pins = [by_name[n].pin() for n in ["I", "p4", "p1", "p2", "p3", "F"]]
+    chk = check_path(unr, pins, [2, 2, 2, 1, 2])
+    assert chk.feasible
+    solves = unr.solver.stats_solves
+    assert canonical_failure(unr, pins, [2, 2, 2, 1, 2], chk) is chk
+    assert unr.solver.stats_solves == solves
+
+
+def test_kreach_keeps_one_guard_per_depth():
+    """One `get_kreach_edges` call takes one selector per pair and one
+    guard from its scope, and leaves every one of them false at level 0;
+    depth by depth, the pairs it returns are those whose minimal weight
+    is that depth."""
+    for seed in (3, 17, 40):
+        gen = random_model(seed, n_states=8, n_inputs=2, n_props=3, multi_state=True)
+        want = pair_min_weights(gen.model, gen.props, gen.init_expr,
+                                gen.final_expr, k_cap=8)
+        g = ReachGraph(make_vertices(gen.props, gen.init_expr, gen.final_expr),
+                       final_idx=len(gen.props) + 1)
+        name = {v.idx: v.name for v in g.vertices}
+        unr = Unrolling(gen.model)
+        handed: list[int] = []
+        scope = unr.scope
+
+        @contextmanager
+        def counted():
+            with scope() as fresh:
+                def take():
+                    handed.append(fresh())
+                    return handed[-1]
+                yield take
+        unr.scope = counted
+        open_pairs = {(a, b): (g.vertices[a].pin(), g.vertices[b].pin())
+                      for a, b in target_pairs(g)}
+        for k in range(9):
+            # covering takes a step, so no edge into F has weight 0
+            query = {(a, b): pins for (a, b), pins in open_pairs.items()
+                     if k or b != g.final_idx}
+            if not query:
+                break
+            handed.clear()
+            found = get_kreach_edges(unr, query, k)
+            assert len(handed) == len(query) + 1
+            assert all(unr.solver.assign[-lit] == 2 for lit in handed)
+            assert found == {(a, b) for a, b in query
+                             if want.get((name[a], name[b])) == k}
+            for key in found:
+                del open_pairs[key]
+        assert all(want.get((name[a], name[b]), 9) > 8 for a, b in open_pairs)
 
 
 KEEP_MODEL = """model keep {

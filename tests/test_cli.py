@@ -47,6 +47,22 @@ def test_generate_json_and_replay_round_trip(tmp_path, capsys):
     assert "replay ok" in capsys.readouterr().out
 
 
+def test_external_backend_reports_uncounted_search_as_null(tmp_path, monkeypatch):
+    """The external process reports no conflicts or decisions, so the
+    report says null (not counted) rather than 0; the solver calls are
+    counted."""
+    stub = Path(__file__).parent / "external_stub.py"
+    monkeypatch.setenv("CHAINFORGE_SOLVER", f"external:{sys.executable} {stub}")
+    out = tmp_path / "report.json"
+    assert run_cli("generate", str(CRUISE / "model.rsys"), str(CRUISE / "props.props"),
+                   "--final", FINAL, "--format", "json", "--output", str(out)) == 0
+    stats = json.loads(out.read_text())["stats"]
+    assert stats["solver_conflicts"] is None
+    assert stats["solver_decisions"] is None
+    assert stats["solver_calls"] > 0
+    assert '"solver_conflicts": null' in out.read_text()
+
+
 def test_generate_json_deterministic(tmp_path):
     outs = []
     for i in range(2):

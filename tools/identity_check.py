@@ -25,13 +25,19 @@ the instance's full property set.
 do; a change of status or of total chain length also shows both
 statuses, total chain lengths and the oracle's minimal length, and a
 closing line per file counts its certified instances and those longer
-than the oracle's minimum.  Then each file gets one line per workload
-and workload seed with the total chain length, the certified count, the
-solver's solves and conflicts, and the repair increments, so a change to
-the search shows its aggregate effect next to the per-instance list.
-`Stats` fields that only one of the two files has are skipped, so a
-change may add or drop a field.  This is a tool, not part of the test
-suite.
+than the oracle's minimum.  Then one line per workload and workload
+seed counts the instances whose outcome differs: status (and so the
+certificate), chain lengths, repair increments, refinement splits,
+result graph, abstract path and weights, and first failed path, leaving
+out what a different search may change without changing the result
+(solver counters, chain inputs, covers).  Two runs of one checkout
+under different searches should show 0 there.  Then each file gets one
+line per workload and workload seed with the total chain length, the
+certified count, the solver's solves and conflicts, and the repair
+increments, so a change to the search shows its aggregate effect next
+to the per-instance list.  `Stats` fields that only one of the two files
+has are skipped, so a change may add or drop a field.  This is a tool,
+not part of the test suite.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ from pathlib import Path
 WORKLOADS = ("ladder", "multi", "clusters")
 WORKLOAD_SEEDS = (1, 2)
 CERTIFIED = "minimal-certified"
+# the `Stats` fields of an instance's outcome
+OUTCOME_STATS = ("repair_increments", "refinement_splits", "abstract_path",
+                 "abstract_weights", "first_failed_path")
 
 
 def oracle_record(oracle, model, props, init, final) -> dict:
@@ -147,6 +156,14 @@ def total_length(rec: dict) -> int:
     return sum(len(c) for c in rec.get("chains", []))
 
 
+def outcome_record(rec: dict) -> tuple:
+    """What a run decided, as opposed to how the solver got there."""
+    stats = rec.get("stats", {})
+    return (rec.get("error"), rec.get("status"),
+            [len(c) for c in rec.get("chains", [])], rec.get("graph"),
+            *(stats.get(f) for f in OUTCOME_STATS))
+
+
 def outcome(rec: dict) -> str:
     """Status, total chain length and the oracle's minimal length."""
     return (f"{rec.get('status')} {total_length(rec)} steps "
@@ -162,15 +179,29 @@ def certificates(path: Path, runs: dict) -> str:
     return f"{path}: {len(certified)} certified, {long_} above the oracle"
 
 
+def groups(names) -> dict[str, list[str]]:
+    """Instance names by workload and workload seed (the name without
+    its index), in name order."""
+    out: dict[str, list[str]] = {}
+    for name in sorted(names):
+        out.setdefault(name.rsplit("-", 1)[0], []).append(name)
+    return out
+
+
+def outcome_differences(a: dict, b: dict) -> list[str]:
+    """One line per workload and workload seed counting the instances of
+    both files whose outcome differs."""
+    return [f"{key}: {sum(outcome_record(a[n]) != outcome_record(b[n]) for n in names)}"
+            f" of {len(names)} instances differ in outcome"
+            for key, names in groups(set(a) & set(b)).items()]
+
+
 def aggregates(path: Path, runs: dict) -> list[str]:
-    """One line per workload and workload seed (the instance name
-    without its index) summing the records of one file."""
-    groups: dict[str, list[dict]] = {}
-    for name, rec in runs.items():
-        groups.setdefault(name.rsplit("-", 1)[0], []).append(rec)
+    """One line per workload and workload seed summing the records of
+    one file."""
     lines = []
-    for key in sorted(groups):
-        recs = groups[key]
+    for key, names in groups(runs).items():
+        recs = [runs[n] for n in names]
         solver = [r.get("solver", {}) for r in recs]
         lines.append(
             f"{path} {key}: length {sum(total_length(r) for r in recs)}, "
@@ -198,6 +229,7 @@ def compare(path_a: Path, path_b: Path) -> int:
             print(line)
             bad += 1
     print(f"{bad} of {len(set(a) | set(b))} instances differ")
+    print("\n".join(outcome_differences(a, b)))
     for path, runs in ((path_a, a), (path_b, b)):
         print(certificates(path, runs))
     for path, runs in ((path_a, a), (path_b, b)):
