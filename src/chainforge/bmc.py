@@ -7,8 +7,9 @@ transition is encoded from the model's expressions; its gates are
 recorded as a tape, and every later frame replays that tape over its
 own literals, writing the same clauses that encoding it afresh would.
 The unrolling also keeps the run's memos: `pred_lit`'s trigger
-encodings, the pair weights and checked depths of the k-reach build, and
-the simple-run answers, keyed by pin id.
+encodings, the pair weights and checked depths of the k-reach build, the
+decoded witness run of each resolved pair, and the simple-run answers,
+keyed by pin id.
 A query attaches its constraints through fresh literals from
 `Unrolling.scope()`; guards are passed as assumptions, and on leaving the
 scope, even when the solve raises, every literal it handed out is fixed
@@ -17,9 +18,12 @@ never assign or propagate them.
 
 `simple_run_exists` bounds depth rather than probing it: it tells the
 k-reach build when deeper queries from a source can find nothing (the
-recurrence diameter as a completeness threshold).  `canonical_failure`
-names a failed path range that follows from feasibility answers alone,
-so no result of the engine hangs on which unsat core the solver returns.
+recurrence diameter as a completeness threshold).  `join_witnesses`
+concretises a path with no solve, from the witnesses of its edges when
+they meet in equal states; `check_path` asks the solver.
+`canonical_failure` names a failed path range that follows from
+feasibility answers alone, so no result of the engine hangs on which
+unsat core the solver returns.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import sat
 from .encode import Gates, alloc_var, assert_assignment, decode_var, encode_expr
-from .model import Expr, Model, SPACE_STATE, SPACE_INPUT, TRUE
+from .model import (Expr, Model, SPACE_STATE, SPACE_INPUT, TRUE, eval_expr,
+                    refs_of)
 
 
 class BmcError(Exception):
@@ -75,6 +80,9 @@ class Unrolling:
         # (source, target) pin ids -> minimal witnessed depth / depth checked to
         self.weight: dict[tuple[int, int], int] = {}
         self.checked_to: dict[tuple[int, int], int] = {}
+        # (source, target) pin ids -> the witness that resolved the pair,
+        # as decoded by `decode_run`: states 0..k and inputs 0..k-1
+        self.witness: dict[tuple[int, int], tuple[list[dict], list[dict]]] = {}
         # source pin id -> (longest m with a simple run, shortest m without)
         self.simple_runs: dict[int, tuple[int, float]] = {}
         # the transition's gate tape as compiled when frame 1 is encoded
@@ -272,7 +280,9 @@ def _pin_lits(unr: Unrolling, pin: Pin, k: int, with_psi: bool) -> list[int]:
 
 def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
     """Which of `pairs` (key -> (src Pin, dst Pin)) are witnessed by some
-    exactly-k-step run?  Returns the set of their keys.
+    exactly-k-step run?  Returns the set of their keys, and records each
+    witness's decoded k-step run in `Unrolling.witness` under the pin ids
+    of every pair it resolves (one run shared by all of them).
 
     Each pair gets a selector that implies its pin literals, and one
     guard implies that some selector holds; every witness query solves
@@ -305,7 +315,10 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
             if not hits:
                 raise BmcError("k-reach witness matched no pending pair")
             found.update(hits)
+            run = unr.decode_run(res.model, k)
             for key in hits:
+                src, dst = pairs[key]
+                unr.witness[(unr.pin_id(src), unr.pin_id(dst))] = run
                 unr.solver.add_clause([-remaining.pop(key)[0]])
     return found
 
@@ -373,9 +386,63 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
         return PathCheck(True, inputs=inputs, trace=trace)
     idxs = _core_indices(tags, res.core, 0, len(tags) - 1)
     if not idxs:
-        raise BmcError("path query unsatisfiable without any pinned vertex; "
-                       "the model's invariant or input assumption is inconsistent")
+        raise BmcError(f"path query unsatisfiable without any pinned vertex: "
+                       f"no run of {unr.horizon} steps satisfies the "
+                       f"invariant and input assumption")
     return _failed(min(idxs), max(idxs), len(pins))
+
+
+def join_witnesses(unr: Unrolling, pins: Sequence[Pin],
+                   weights: Sequence[int]) -> Optional[PathCheck]:
+    """The path concretised with no solve, from the k-reach witnesses
+    of its non-zero edges laid end to end, or None when they do not
+    join: some edge has no witness or one of another length than its
+    weight (repair stretched it), two consecutive witnesses end and
+    start in different states, or some vertex's pin fails at its offset
+    in the joined run.
+
+    Every witness satisfies the invariant and the input assumption at
+    each of its steps, and the transition is deterministic, so a joined
+    run is a run of the path query, and the answer `check_path` would
+    give, with the witnesses' inputs in place of the solver's.  (That
+    query also asks the run to go on within the invariant up to the
+    unrolling's horizon, which every run can unless some state is a
+    dead end; where one is, `check_path`'s answer depends on the
+    horizon and this one does not.)"""
+    trace: list[dict] = []
+    inputs: list[dict] = []
+    for src, dst, w in zip(pins, pins[1:], weights):
+        if w == 0:
+            continue
+        run = unr.witness.get((unr.pin_id(src), unr.pin_id(dst)))
+        if run is None or len(run[1]) != w:
+            return None
+        states, steps = run
+        if trace:
+            if trace[-1] != states[0]:
+                return None
+            states = states[1:]
+        trace += states
+        inputs += steps
+    if not trace:
+        return None
+    offsets = accumulate(weights, initial=0)
+    if not all(_pin_holds(p, trace, inputs, o) for p, o in zip(pins, offsets)):
+        return None
+    return PathCheck(True, inputs=inputs, trace=trace)
+
+
+def _pin_holds(pin: Pin, trace: list[dict], inputs: list[dict], o: int) -> bool:
+    """Does `pin` hold at step o of the run?  The last state has no
+    input after it, so only a state trigger without an assertion can
+    hold there."""
+    if o == len(inputs):
+        return (pin.psi is None
+                and all(r.space == SPACE_STATE for r in refs_of(pin.phi))
+                and bool(eval_expr(pin.phi, trace[o])))
+    return (bool(eval_expr(pin.phi, trace[o], inputs[o]))
+            and (pin.psi is None
+                 or bool(eval_expr(pin.psi, trace[o], inputs[o], trace[o + 1]))))
 
 
 def canonical_failure(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],

@@ -104,6 +104,7 @@ def _result_json(model: Model, result: ChainResult, cfg_args) -> dict:
                   "repair_increments": st.repair_increments,
                   "refinement_splits": st.refinement_splits,
                   "partitions": st.partitions,
+                  "joined_chains": st.joined_chains,
                   "backend": st.backend,
                   "abstract_path": st.abstract_path,
                   "wall_time_s": round(st.wall_time_s, 6)},

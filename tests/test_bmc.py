@@ -8,11 +8,13 @@ import pytest
 
 from chainforge import bmc, reachgraph
 from chainforge.bmc import (BmcError, Pin, Unrolling, canonical_failure,
-                            check_path, get_kreach_edges, simple_run_exists)
+                            check_path, get_kreach_edges, join_witnesses,
+                            simple_run_exists)
 from chainforge.dsl import parse_model, parse_properties, parse_state_set
 from chainforge.encode import assert_assignment, encode_expr
 from chainforge.engine import generate_chain
-from chainforge.model import TRUE, BinOp, Property, disj, eval_expr, run_trace
+from chainforge.model import (TRUE, BinOp, Property, disj, eval_expr, replay,
+                              run_trace, step)
 from chainforge.oracle import (int_const, pair_min_weights, random_model,
                                state_eq, table_model)
 from chainforge.sat import ExternalSolver, Solver, SolverLimit
@@ -227,6 +229,30 @@ def test_check_path_broken_chain_failed_subpath(cruise_model, cruise_final,
     assert len(res2.inputs) == 4
 
 
+DEAD_END_MODEL = """model deadend {
+  state s : 0..3 init 0;
+  invariant s <= 2;
+  trans { s' = s < 3 ? s + 1 : 3; }
+}"""
+
+
+def test_a_path_past_every_run_names_the_horizon():
+    """Every frame up to the horizon must satisfy the invariant, and
+    every run leaves it within three steps: the path from 0 to 2 in two
+    steps is feasible at horizon 2, and at horizon 3 the query fails
+    with no vertex to blame, which the error says is the horizon."""
+    model, diags = parse_model(DEAD_END_MODEL)
+    assert model is not None, [str(d) for d in diags]
+    pins = [Pin(parse_state_set(f"s == {v}", model)[0]) for v in (0, 2)]
+    unr = Unrolling(model)
+    unr.ensure(2)
+    assert check_path(unr, pins, [2]).feasible
+    unr.ensure(3)
+    with pytest.raises(BmcError, match="no run of 3 steps satisfies the "
+                                       "invariant and input assumption"):
+        check_path(unr, pins, [2])
+
+
 def test_failed_path_is_at_least_three_vertices(cruise_model, cruise_final,
                                                 broken_chain_props):
     unr = Unrolling(cruise_model)
@@ -371,6 +397,70 @@ def test_kreach_keeps_one_guard_per_depth():
             for key in found:
                 del open_pairs[key]
         assert all(want.get((name[a], name[b]), 9) > 8 for a, b in open_pairs)
+
+
+def _witness_cases(cruise_model, cruise_props, cruise_final):
+    yield cruise_model, cruise_props, cruise_final, cruise_final
+    for seed, multi in ((5, False), (11, False), (3, True), (40, True)):
+        gen = random_model(seed, n_states=9, n_inputs=3, n_props=4, multi_state=multi)
+        yield gen.model, gen.props, gen.init_expr, gen.final_expr
+
+
+def _holds(pin, s, i, nxt, with_psi=True):
+    return eval_expr(pin.phi, s, i) and (
+        not with_psi or pin.psi is None or eval_expr(pin.psi, s, i, nxt))
+
+
+def test_kreach_witnesses_are_real_runs(cruise_model, cruise_props, cruise_final):
+    """Every resolved pair records the witness that resolved it: a run of
+    exactly its weight that the interpreter replays, covering the source
+    pin at step 0 and reaching the target's trigger at its last step
+    (under some legal input; at weight 0 the same step covers both
+    pins)."""
+    for model, props, init, final in _witness_cases(cruise_model, cruise_props,
+                                                    cruise_final):
+        unr = Unrolling(model)
+        g = build_reach_graph(unr, props, init, final, k_max=8, exhaust=True).graph
+        assert g.weights and set(unr.witness) == set(unr.weight)
+        pins = {unr.pin_id(v.pin()): v.pin() for v in g.vertices}
+        legal = model.legal_inputs()
+        for (a, b), (states, inputs) in unr.witness.items():
+            src, dst, k = pins[a], pins[b], unr.weight[(a, b)]
+            assert len(inputs) == k and len(states) == k + 1
+            assert list(replay(model, [], TRUE, inputs, start=states[0]).trace) == states
+            if k == 0:
+                assert any(_holds(src, states[0], i, nxt) and _holds(dst, states[0], i, nxt)
+                           for i in legal
+                           for nxt in [step(model, states[0], i, check=False)])
+            else:
+                assert _holds(src, states[0], inputs[0], states[1])
+                assert any(_holds(dst, states[k], i, None, with_psi=False)
+                           for i in legal)
+
+
+def test_witnesses_join_only_at_their_weights_and_pins(cruise_model, cruise_final,
+                                                       broken_chain_props):
+    """On the broken chain's graph, I -2-> p2 -2-> F joins into a run
+    the interpreter replays.  I -0-> p1 -1-> p2 -2-> F does not: its two
+    witnesses meet, but the first starts outside the start set, and the
+    path query agrees that the path is infeasible.  An edge stretched
+    past its witness's length does not join either: p2 -> F at 3 steps,
+    and p1 -> p2 at 2, a path the path query finds feasible."""
+    unr = Unrolling(cruise_model)
+    g = build_reach_graph(unr, broken_chain_props, cruise_final, cruise_final,
+                          k_max=4, exhaust=True).graph
+    pin = {v.name: v.pin() for v in g.vertices}
+    assert {("I", "p2", 2), ("p1", "p2", 1), ("p2", "F", 2)} <= set(g.named_edges())
+    chk = join_witnesses(unr, [pin["I"], pin["p2"], pin["F"]], [2, 2])
+    assert chk.feasible and len(chk.inputs) == 4
+    assert run_trace(cruise_model, chk.trace[0], chk.inputs) == chk.trace
+    assert eval_expr(cruise_final, chk.trace[0]) and eval_expr(cruise_final, chk.trace[-1])
+    assert join_witnesses(unr, [pin["I"], pin["p2"], pin["F"]], [2, 3]) is None
+    broken = [pin[n] for n in ("I", "p1", "p2", "F")]
+    assert join_witnesses(unr, broken, [0, 1, 2]) is None
+    assert not check_path(unr, broken, [0, 1, 2]).feasible
+    assert join_witnesses(unr, broken, [0, 2, 2]) is None
+    assert check_path(unr, broken, [0, 2, 2]).feasible
 
 
 KEEP_MODEL = """model keep {

@@ -38,6 +38,7 @@ def test_generate_json_and_replay_round_trip(tmp_path, capsys):
     assert code == 0
     data = json.loads(out_file.read_text())
     assert data["summary"] == {"tcs": 1, "len": 9, "status": "minimal-certified"}
+    assert data["stats"]["joined_chains"] == 1
     assert len(data["chains"][0]["inputs"]) == 9
     assert data["chains"][0]["covers"].keys() == {"p1", "p2", "p3", "p4"}
     capsys.readouterr()

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from chainforge import engine
 from chainforge.dsl import parse_properties, parse_state_set
 from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
                                generate_chain, partition_vertex_sets)
@@ -405,10 +406,9 @@ def test_partition_conflicts_do_not_compose_through_two_state_triggers():
     assert names == sorted(p.name for p in props)
 
 
-def test_partition_cost_does_not_depend_on_the_bound():
-    """A hub entering three closed 4-state clusters: the cross-cluster
-    pairs are proved unreachable at every depth once no simple run can
-    reach anything new, so k_max 8 and 50 do the same work."""
+def _hub_case():
+    """A hub entering three closed 4-state clusters, with properties in
+    all three: (model, properties), start state 0, final set TRUE."""
     table = [[1, 5, 9],
              [2, 3, 1], [3, 1, 4], [4, 4, 2], [1, 2, 3],
              [6, 8, 5], [7, 5, 6], [8, 6, 8], [5, 7, 7],
@@ -421,6 +421,14 @@ def test_partition_cost_does_not_depend_on_the_bound():
         property p3 { assume s == 8 && a == 1; assert next(s) == 7; }
         property p4 { assume s == 11 && a == 2; assert next(s) == 12; }
     """)
+    return m, props
+
+
+def test_partition_cost_does_not_depend_on_the_bound():
+    """A hub entering three closed 4-state clusters: the cross-cluster
+    pairs are proved unreachable at every depth once no simple run can
+    reach anything new, so k_max 8 and 50 do the same work."""
+    m, props = _hub_case()
     runs = [generate_chain(m, props, state_eq(m, 0), TRUE, EngineConfig(k_max=k))
             for k in (8, 50)]
     for res in runs:
@@ -439,24 +447,61 @@ def test_later_builds_skip_pairs_refuted_to_the_bound():
     pairs the first build proved unreachable, so it stops where the
     clusters' own pairs resolve, at either bound, and `k_reached` counts
     it."""
-    table = [[1, 5, 9],
-             [2, 3, 1], [3, 1, 4], [4, 4, 2], [1, 2, 3],
-             [6, 8, 5], [7, 5, 6], [8, 6, 8], [5, 7, 7],
-             [10, 12, 11], [11, 9, 9], [12, 10, 12], [9, 11, 10]]
-    m = table_model("hub", table)
-    props = _props_of(m, """
-        property p0 { assume s == 2 && a == 1; assert next(s) == 1; }
-        property p1 { assume s == 4 && a == 2; assert next(s) == 3; }
-        property p2 { assume s == 6 && a == 0; assert next(s) == 7; }
-        property p3 { assume s == 8 && a == 1; assert next(s) == 7; }
-        property p4 { assume s == 11 && a == 2; assert next(s) == 12; }
-    """)
+    m, props = _hub_case()
     runs = [generate_chain(m, props, state_eq(m, 0), TRUE, EngineConfig(k_max=k))
             for k in (8, 50)]
     assert runs[0].graph.k_stop == runs[1].graph.k_stop < 8
     for res in runs:
         assert res.status == MULTI
         assert res.stats.k_reached >= res.graph.k_stop
+
+
+def _join_cases():
+    """(id, model, properties, start, final, k_max, does every planned
+    path join)."""
+    for seed in (2, 7, 13):
+        gen = random_model(seed, n_states=10, n_inputs=3, n_props=4)
+        yield seed, gen.model, gen.props, gen.init_expr, gen.final_expr, 30, True
+    m, props = _hub_case()
+    yield "hub", m, props, state_eq(m, 0), TRUE, 8, True
+    m, props, i_expr = split_table_case()
+    yield "split", m, props, i_expr, i_expr, 12, False
+    gen = random_model(23, n_states=12, n_inputs=2, n_props=4, multi_state=True)
+    yield "multi-23", gen.model, gen.props, gen.init_expr, gen.final_expr, 20, False
+
+
+@pytest.mark.parametrize("case", list(_join_cases()), ids=lambda case: str(case[0]))
+def test_joined_witnesses_give_the_path_querys_outcome(case, monkeypatch):
+    """Concretising by joining the edges' k-reach witnesses gives what
+    the monolithic path query gives, with no path query where every
+    planned path joins; where one does not (a repaired range, a junction
+    of two-state triggers), the path query runs and the outcome is the
+    same."""
+    _, model, props, init, final, k_max, joins = case
+    calls = []
+    check_path = engine.check_path
+    monkeypatch.setattr(engine, "check_path",
+                        lambda *a: calls.append(a) or check_path(*a))
+
+    def outcome():
+        calls.clear()
+        res = generate_chain(model, props, init, final, EngineConfig(k_max=k_max))
+        for c in res.chains:
+            _check_chain(model, props, final, c)
+        st = res.stats
+        return (res.status, [c.length for c in res.chains], st.repair_increments,
+                st.refinement_splits, st.abstract_path, st.abstract_weights,
+                st.first_failed_path), st.joined_chains, len(calls)
+
+    joined, n_joined, n_calls = outcome()
+    monkeypatch.setattr(engine, "join_witnesses", lambda *a: None)
+    solved, n_solved_joined, n_solved_calls = outcome()
+    assert joined == solved
+    assert n_solved_joined == 0 and n_solved_calls > 0
+    if joins:
+        assert n_calls == 0 and n_joined == len(joined[1]) > 0
+    else:
+        assert n_calls > 0 and joined[2] + joined[3] > 0
 
 
 def test_property_named_like_the_final_vertex():

@@ -33,9 +33,10 @@ out what a different search may change without changing the result
 (solver counters, chain inputs, covers).  Two runs of one checkout
 under different searches should show 0 there.  Then each file gets one
 line per workload and workload seed with the total chain length, the
-certified count, the solver's solves and conflicts, and the repair
-increments, so a change to the search shows its aggregate effect next
-to the per-instance list.  `Stats` fields that only one of the two files
+certified count, the solver's solves and conflicts, the repair
+increments, and the chains concretised by joining k-reach witnesses
+(0 for a checkout that does not count them), so a change to the search
+shows its aggregate effect next to the per-instance list.  `Stats` fields that only one of the two files
 has are skipped, so a change may add or drop a field.  This is a tool,
 not part of the test suite.
 """
@@ -209,7 +210,9 @@ def aggregates(path: Path, runs: dict) -> list[str]:
             f"{sum(s.get('solves', 0) for s in solver)} solves, "
             f"{sum(s.get('conflicts', 0) for s in solver)} conflicts, "
             f"{sum(r.get('stats', {}).get('repair_increments', 0) for r in recs)}"
-            f" repair increments")
+            f" repair increments, "
+            f"{sum(r.get('stats', {}).get('joined_chains', 0) for r in recs)}"
+            f" joined chains")
     return lines
 
 
