@@ -9,6 +9,16 @@ is applied by `clamp` where results flow into a declared variable.
 The gate builder keeps a structural cache, folds constants, and writes
 Tseitin clauses straight into the backing solver; it can record the
 gates it makes as a tape, which the unrolling replays for later frames.
+
+A `? :` chain of three or more arms that compares one int or enum
+variable for `==` with distinct constants (`s == 0 ? a : s == 1 ? b :
+...`, the mode and state dispatch of generated controllers) is encoded
+as one case split rather than as nested per-bit if-then-elses: each arm
+keeps its equality literal, the default arm's condition is one n-ary
+AND of their negations, and each output bit is one gate constrained to
+the value of whichever arm holds.  The arms are mutually exclusive and
+exhaustive, so the gate is a function of the variables like the nested
+form, with fewer variables and clauses.
 """
 
 from __future__ import annotations
@@ -44,13 +54,14 @@ class BV:
 class Gates:
     """Tseitin gate builder over a solver exposing new_var/add_clause.
 
-    `land`, `lite` and `liff` fold constants and identities, then call
-    one maker (`_and`, `_ite`, `_iff`) that normalises the cache key and,
-    on a miss, allocates the gate and writes its clauses.  While `tape`
-    is a list, every maker call and every `assert_iff` appends
-    `(maker, args, output)` to it (output None for `assert_iff`), so the
-    same circuit can be rebuilt over other literals by calling the makers
-    again in order."""
+    `land`, `land_n`, `lite`, `liff` and `lcase` fold constants and
+    identities, then call one maker (`_and`, `_and_n`, `_ite`, `_iff`,
+    `_case`) that normalises the cache key and, on a miss, allocates the
+    gate and writes its clauses in argument order.  A maker always takes
+    two or more literals, so a replayed tape step reads a tuple.  While `tape` is a list, every maker call and
+    every `assert_iff` appends `(maker, args, output)` to it (output None
+    for `assert_iff`), so the same circuit can be rebuilt over other
+    literals by calling the makers again in order."""
 
     def __init__(self, solver):
         self.solver = solver
@@ -92,6 +103,33 @@ class Gates:
 
     def lor(self, a: int, b: int) -> int:
         return -self.land(-a, -b)
+
+    def land_n(self, lits) -> int:
+        """Conjunction of any number of literals."""
+        out: list[int] = []
+        for a in lits:
+            if self.is_false(a) or -a in out:
+                return -self.T
+            if not self.is_true(a) and a not in out:
+                out.append(a)
+        if not out:
+            return self.T
+        if len(out) == 1:
+            return out[0]
+        return self._and(*out) if len(out) == 2 else self._and_n(*out)
+
+    def _and_n(self, *lits: int) -> int:
+        key = ("&*", *sorted(lits))
+        g = self._cache.get(key)
+        if g is None:
+            g = self.solver.new_var()
+            for a in lits:
+                self.solver.add_clause([-g, a])
+            self.solver.add_clause([g, *(-a for a in lits)])
+            self._cache[key] = g
+        if self.tape is not None:
+            self.tape.append((self._and_n, lits, g))
+        return g
 
     def lite(self, c: int, t: int, e: int) -> int:
         if self.is_true(c):
@@ -160,6 +198,36 @@ class Gates:
 
     def lxor(self, a: int, b: int) -> int:
         return -self.liff(a, b)
+
+    def lcase(self, arms) -> int:
+        """The value of the arm that holds, for `(condition, value)` arms
+        of which exactly one condition holds."""
+        live = [(q, v) for q, v in arms if not self.is_false(q)]
+        for q, v in live:
+            if self.is_true(q):
+                return v
+        if all(v == live[0][1] for _, v in live):
+            return live[0][1]
+        return self._case(*(lit for arm in live for lit in arm))
+
+    def _case(self, *arms: int) -> int:
+        """`arms` is q1, v1, q2, v2, ...: per arm, q implies out == v."""
+        key = ("|?", *arms)
+        g = self._cache.get(key)
+        if g is None:
+            g = self.solver.new_var()
+            for q, v in zip(arms[::2], arms[1::2]):
+                if self.is_true(v):
+                    self.solver.add_clause([-q, g])
+                elif self.is_false(v):
+                    self.solver.add_clause([-q, -g])
+                else:
+                    self.solver.add_clause([-q, -v, g])
+                    self.solver.add_clause([-q, v, -g])
+            self._cache[key] = g
+        if self.tape is not None:
+            self.tape.append((self._case, arms, g))
+        return g
 
     def assert_iff(self, a: int, b: int) -> None:
         if self.tape is not None:
@@ -274,17 +342,30 @@ class Gates:
         a, b = self._aligned(x, y)
         return self.ueq_bits(a, b)
 
+    def rebased(self, x: BV, lo: int, m: int) -> tuple[int, ...]:
+        """x's bits as an offset from lo, for a result of max offset m."""
+        if x.lo != lo or len(x.bits) < width_for(m):
+            return self.add_const_bits(x.bits, x.lo - lo, m)
+        return x.bits
+
     def bv_ite(self, c: int, x: BV, y: BV) -> BV:
         lo = min(x.lo, y.lo)
-        hi = max(x.hi, y.hi)
-        m = hi - lo
-        w = width_for(m)
-        xb = self.add_const_bits(x.bits, x.lo - lo, m) if x.lo != lo or len(x.bits) < w else x.bits
-        yb = self.add_const_bits(y.bits, y.lo - lo, m) if y.lo != lo or len(y.bits) < w else y.bits
+        m = max(x.hi, y.hi) - lo
+        xb, yb = self.rebased(x, lo, m), self.rebased(y, lo, m)
         bits = tuple(self.lite(c,
                                xb[i] if i < len(xb) else -self.T,
                                yb[i] if i < len(yb) else -self.T)
-                     for i in range(w))
+                     for i in range(width_for(m)))
+        return BV(bits, lo, m)
+
+    def bv_case(self, arms: list[tuple[int, BV]]) -> BV:
+        """`lcase` over integer or enum values, bit by bit."""
+        lo = min(x.lo for _, x in arms)
+        m = max(x.hi for _, x in arms) - lo
+        rebased = [(q, self.rebased(x, lo, m)) for q, x in arms]
+        bits = tuple(self.lcase([(q, xb[i] if i < len(xb) else -self.T)
+                                 for q, xb in rebased])
+                     for i in range(width_for(m)))
         return BV(bits, lo, m)
 
     def clamp(self, x: BV, dom: IntRange) -> BV:
@@ -353,6 +434,30 @@ def enum_const(gates: Gates, dom: EnumDomain, name: str) -> BV:
     return BV(tuple(gates.const(bool((idx >> i) & 1)) for i in range(w)), 0, dom.size - 1)
 
 
+#: Fewest `==` arms a chain needs to be encoded as a case split; a
+#: two-arm split is larger than the nested form, whose constant arms fold.
+CASE_ARMS = 3
+
+
+def case_chain(e: Ite) -> tuple[list[tuple[Expr, Expr]], Expr]:
+    """The `(condition, value)` arms that open the if-then-else chain
+    `e` and compare one int or enum variable for `==` with distinct
+    constants, and the rest of the chain, which starts at the first
+    condition that does not."""
+    arms: list[tuple[Expr, Expr]] = []
+    seen = set()
+    while isinstance(e, Ite):
+        c = e.cond
+        if not (isinstance(c, BinOp) and c.op == "==" and isinstance(c.a, Ref)
+                and not isinstance(c.a.domain, BoolDomain) and isinstance(c.b, Const)
+                and (not arms or c.a == arms[0][0].a) and c.b.value not in seen):
+            break
+        seen.add(c.b.value)
+        arms.append((c, e.then))
+        e = e.other
+    return arms, e
+
+
 def encode_expr(e: Expr, gates: Gates,
                 look: Callable[[str, str], EncodedVar]) -> EncodedVar:
     """Encode an expression; `look(space, name)` supplies variable bits.
@@ -369,6 +474,9 @@ def encode_expr(e: Expr, gates: Gates,
     if isinstance(e, Not):
         return -encode_expr(e.a, gates, look)
     if isinstance(e, Ite):
+        arms, rest = case_chain(e)
+        if len(arms) >= CASE_ARMS:
+            return _encode_cases(arms, rest, gates, look)
         c = encode_expr(e.cond, gates, look)
         t = encode_expr(e.then, gates, look)
         o = encode_expr(e.other, gates, look)
@@ -396,6 +504,21 @@ def encode_expr(e: Expr, gates: Gates,
         eq = gates.int_eq(a, b) if isinstance(a, BV) else gates.liff(a, b)
         return eq if op == "==" else -eq
     raise TypeError(f"cannot encode {e!r}")
+
+
+def _encode_cases(arms: list[tuple[Expr, Expr]], rest: Expr, gates: Gates,
+                  look: Callable[[str, str], EncodedVar]) -> EncodedVar:
+    """A `case_chain` as one case split: exactly one of the arms'
+    equalities and the default arm's condition, that none of them
+    holds, is true."""
+    conds, values = [], []
+    for cond, then in arms:
+        conds.append(encode_expr(cond, gates, look))
+        values.append(encode_expr(then, gates, look))
+    conds.append(gates.land_n([-q for q in conds]))
+    values.append(encode_expr(rest, gates, look))
+    cases = list(zip(conds, values))
+    return gates.bv_case(cases) if isinstance(values[0], BV) else gates.lcase(cases)
 
 
 def assert_assignment(gates: Gates, target: EncodedVar, value: EncodedVar,

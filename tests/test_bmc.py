@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import time
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chainforge import bmc, reachgraph
+from chainforge import bmc, encode, reachgraph
 from chainforge.bmc import (BmcError, Pin, Unrolling, canonical_failure,
                             check_path, get_kreach_edges, join_witnesses,
                             simple_run_exists)
@@ -608,11 +609,28 @@ def _identity_case(which):
     if which == "keep":
         model, _ = parse_model(KEEP_MODEL)
         return model, _trig(model, "(a ? x + 1 : x) == 3")
-    gen = random_model(31, n_states=12, n_inputs=3, n_props=4, multi_state=True)
+    if which == "dead-arms":
+        model, _ = parse_model(DEAD_ARMS_MODEL)
+        return model, _trig(model, "y == 2 && a == 0")
+    if which == "ladder":
+        gen = random_model(31, n_states=16, n_inputs=3, n_props=5)
+    else:
+        gen = random_model(31, n_states=12, n_inputs=3, n_props=4, multi_state=True)
     return gen.model, gen.props[0].assumption
 
 
-CASES = ("cruise1", "cruise2", "keep", "random-multi")
+# `x`'s chain has no live arm, `y`'s one besides its default
+DEAD_ARMS_MODEL = """model dead {
+  state x: 0..3 init 0;
+  state y: 0..3 init 0;
+  input a: 0..2;
+  trans {
+    x' = x == 5 ? 1 : x == 6 ? 2 : x == 7 ? 0 : a == 0 ? x : 3;
+    y' = y == 2 ? 0 : y == 6 ? 2 : y == 7 ? 1 : y + a;
+  }
+}"""
+
+CASES = ("cruise1", "cruise2", "keep", "random-multi", "ladder", "dead-arms")
 
 
 @pytest.mark.parametrize("which", CASES)
@@ -645,6 +663,26 @@ def test_replay_reuses_gates_a_query_cached(which):
         assert grown[1] - grown[0] < grown[2] - grown[1]
         runs.append(unr.solver.clauses)
     assert runs[0] == runs[1]
+
+
+def test_case_split_frame_is_smaller_than_the_nested_chain(monkeypatch):
+    """The ladder model's 15-arm state dispatch, encoded as one case
+    split, takes fewer variables per frame than the nested if-then-else
+    chain the encoder builds with case splits off (119 variables and 405
+    clauses per frame before case splits were encoded)."""
+    model, _ = _identity_case("ladder")
+
+    def frame_size():
+        unr = Unrolling(model)
+        unr.ensure(1)
+        before = unr.solver.nvars, len(unr.solver.clauses)
+        unr.ensure(2)
+        return unr.solver.nvars - before[0], len(unr.solver.clauses) - before[1]
+
+    split = frame_size()
+    monkeypatch.setattr(encode, "CASE_ARMS", math.inf)
+    assert frame_size() == (119, 405)
+    assert split[0] < 119 and split[1] < 405
 
 
 def test_transition_is_encoded_once(monkeypatch, cruise_model):

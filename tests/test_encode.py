@@ -1,9 +1,11 @@
+import itertools
 import random
 
-from chainforge.encode import (Gates, alloc_var, assert_assignment,
-                               decode_var, encode_expr, width_for)
+from chainforge.encode import (BV, CASE_ARMS, Gates, alloc_var, assert_assignment,
+                               case_chain, decode_var, encode_expr, enum_const,
+                               width_for)
 from chainforge.model import (BOOL, BinOp, BoolDomain, Const, EnumDomain,
-                              IntRange, Ite, Not, Ref, eval_expr)
+                              IntRange, Ite, Not, Ref, eval_expr, refs_of)
 from chainforge.sat import Solver
 
 from conftest import cruise_input
@@ -162,3 +164,140 @@ def test_cruise_transition_encoding_successor(cruise_model):
     got = unr.decode_state(res.model, 1)
     assert got == step(cruise_model, s0, gas)
     assert got == {"mode": "OFF", "speed": 1, "enable": False}
+
+
+# -- case splits of `x == c ? ... :` chains -----------------------------------
+
+CASE_VARS = {("state", "x"): IntRange(-2, 3), ("input", "i"): IntRange(0, 2),
+             ("next", "x"): IntRange(-2, 3),
+             ("state", "m"): EnumDomain("m", ("R", "G", "B")),
+             ("state", "p"): BOOL}
+
+
+def _case_ref(space, name):
+    return Ref(name, space, CASE_VARS[(space, name)])
+
+
+def _arm_value(rng, sort):
+    """A small arm value of `sort` ("int", "bool" or "enum")."""
+    if sort == "enum":
+        dom = CASE_VARS[("state", "m")]
+        return (_case_ref("state", "m") if rng.random() < 0.3
+                else Const(rng.choice(dom.constants), dom))
+    if sort == "bool":
+        r = rng.random()
+        if r < 0.3:
+            return _case_ref("state", "p")
+        if r < 0.5:
+            return Not(_case_ref("state", "p"))
+        if r < 0.7:
+            v = rng.randint(-2, 3)
+            return BinOp("<", _case_ref("state", "x"), Const(v, IntRange(v, v)))
+        return Const(rng.random() < 0.5, BOOL)
+    r = rng.random()
+    v = rng.randint(-3, 5)
+    if r < 0.2:
+        return _case_ref("state", "x")
+    if r < 0.35:
+        return BinOp("+", _case_ref("input", "i"), Const(v, IntRange(v, v)))
+    return Const(v, IntRange(v, v))
+
+
+def _random_chain(rng):
+    """A chain of 2-7 `sel == c` arms over a random selector, with
+    constants drawn past both ends of an int domain and repeats allowed,
+    and its default."""
+    sel = _case_ref(*rng.choice([("state", "x"), ("input", "i"), ("next", "x"),
+                                 ("state", "m")]))
+    sort = rng.choice(("int", "bool", "enum"))
+    e = _arm_value(rng, sort)
+    for _ in range(rng.randint(2, 7)):
+        if isinstance(sel.domain, EnumDomain):
+            c = Const(rng.choice(sel.domain.constants), sel.domain)
+        else:
+            v = rng.randint(sel.domain.lo - 2, sel.domain.hi + 2)
+            c = Const(v, IntRange(v, v))
+        e = Ite(BinOp("==", sel, c), _arm_value(rng, sort), e)
+    return e
+
+
+def _pin(enc, key, value):
+    dom, e = CASE_VARS[key], enc[key]
+    if isinstance(dom, BoolDomain):
+        return [e if value else -e]
+    off = value - dom.lo if isinstance(dom, IntRange) else dom.index(value)
+    return [bit if (off >> i) & 1 else -bit for i, bit in enumerate(e.bits)]
+
+
+def test_case_split_agrees_with_interpreter_on_random_chains(monkeypatch):
+    """Random `sel == c` chains of 2-7 arms over int (negative lower
+    bound, constants outside the domain, repeats), enum, input and
+    next-state selectors, with int, bool and enum arms: for every total
+    assignment of the variables a chain reads, the encoding holds the
+    interpreter's value and no other.  Chains of three or more arms
+    reach the case maker."""
+    made = []
+    case = Gates._case
+    monkeypatch.setattr(Gates, "_case", lambda self, *a: made.append(a) or case(self, *a))
+    rng = random.Random(25)
+    reached = long_chains = 0
+    for n in range(300):
+        expr = _random_chain(rng)
+        s, g, enc = _setup(CASE_VARS)
+        made.clear()
+        out = encode_expr(expr, g, lambda sp, name: enc[(sp, name)])
+        spine = [expr]
+        while isinstance(spine[-1], Ite):
+            spine.append(spine[-1].other)
+        long_chain = any(len(case_chain(e)[0]) >= CASE_ARMS for e in spine[:-1])
+        long_chains += long_chain
+        reached += bool(made)
+        assert long_chain or not made, expr
+        read = sorted({(r.space, r.name) for r in refs_of(expr)})
+        for values in itertools.product(*(CASE_VARS[k].values() for k in read)):
+            frame = dict(zip(read, values))
+            pins = [lit for k, v in frame.items() for lit in _pin(enc, k, v)]
+            want = eval_expr(expr, *({k[1]: v for k, v in frame.items() if k[0] == sp}
+                                     for sp in ("state", "input", "next")))
+            if isinstance(out, BV):
+                dom = CASE_VARS[("state", "m")]
+                eq = g.int_eq(out, enum_const(g, dom, want) if isinstance(want, str)
+                              else g.bv_const(want))
+            else:
+                eq = out if want else -out
+            assert s.solve(pins + [eq]).status == "sat", (n, expr, frame)
+            assert s.solve(pins + [-eq]).status == "unsat", (n, expr, frame)
+    assert long_chains >= 150 and reached >= 150, (long_chains, reached)
+
+
+def test_chain_of_dead_arms_folds_to_its_default(monkeypatch):
+    """Arms whose constants lie outside the selector's domain fold to
+    false: with every arm dead the chain is its default literal, and
+    with one arm live the default's condition is that arm's negation,
+    with no n-ary AND."""
+    made = []
+    for maker in ("_and_n", "_case"):
+        orig = getattr(Gates, maker)
+        monkeypatch.setattr(Gates, maker,
+                            lambda self, *a, orig=orig, name=maker: made.append(name) or orig(self, *a))
+    dom = IntRange(0, 3)
+    x, p = Ref("x", "state", dom), Ref("p", "state", BOOL)
+    s, g, enc = _setup({"x": dom, "p": BOOL})
+
+    def chain(consts):
+        e = p
+        for v in consts:
+            e = Ite(BinOp("==", x, Const(v, IntRange(v, v))), Const(v % 2 == 0, BOOL), e)
+        return e
+    look = lambda sp, n: enc[n]
+    assert encode_expr(chain([7, 6, 5, -1]), g, look) == enc["p"]
+    assert made == []
+    lit = encode_expr(chain([7, 6, 2]), g, look)
+    assert made == ["_case"]
+    for xv in dom.values():
+        for pv in (False, True):
+            pins = [bit if (xv >> i) & 1 else -bit for i, bit in enumerate(enc["x"].bits)]
+            pins.append(enc["p"] if pv else -enc["p"])
+            want = xv == 2 or pv
+            assert s.solve(pins + [lit if want else -lit]).status == "sat"
+            assert s.solve(pins + [-lit if want else lit]).status == "unsat"

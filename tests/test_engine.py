@@ -1,9 +1,10 @@
+import math
 import random
 import time
 
 import pytest
 
-from chainforge import engine
+from chainforge import encode, engine
 from chainforge.dsl import parse_properties, parse_state_set
 from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
                                generate_chain, partition_vertex_sets)
@@ -502,6 +503,39 @@ def test_joined_witnesses_give_the_path_querys_outcome(case, monkeypatch):
         assert n_calls == 0 and n_joined == len(joined[1]) > 0
     else:
         assert n_calls > 0 and joined[2] + joined[3] > 0
+
+
+def _case_split_cases():
+    for seed in (2, 7, 21):
+        gen = random_model(seed, n_states=16, n_inputs=3, n_props=5)
+        yield seed, gen.model, gen.props, gen.init_expr, gen.final_expr, 60
+    for seed in (23, 29, 34):
+        gen = random_model(seed, n_states=12, n_inputs=2, n_props=4, multi_state=True)
+        yield f"multi-{seed}", gen.model, gen.props, gen.init_expr, gen.final_expr, 20
+    m, props, i_expr = split_table_case()
+    yield "split", m, props, i_expr, i_expr, 12
+
+
+@pytest.mark.parametrize("case", list(_case_split_cases()), ids=lambda case: str(case[0]))
+def test_case_splits_leave_the_outcome_unchanged(case, monkeypatch):
+    """The state dispatch encoded as one case split and as the nested
+    if-then-else chain gives equisatisfiable formulas, so the outcome
+    is the same: status, chain lengths, abstraction, planned path and
+    what repair and refinement did to it."""
+    _, model, props, init, final, k_max = case
+
+    def outcome():
+        res = generate_chain(model, props, init, final, EngineConfig(k_max=k_max))
+        for c in res.chains:
+            _check_chain(model, props, final, c)
+        st = res.stats
+        return (res.status, [c.length for c in res.chains], res.graph.named_edges(),
+                st.abstract_path, st.abstract_weights, st.repair_increments,
+                st.refinement_splits, st.first_failed_path)
+
+    split = outcome()
+    monkeypatch.setattr(encode, "CASE_ARMS", math.inf)
+    assert outcome() == split
 
 
 def test_property_named_like_the_final_vertex():

@@ -33,10 +33,11 @@ out what a different search may change without changing the result
 (solver counters, chain inputs, covers).  Two runs of one checkout
 under different searches should show 0 there.  Then each file gets one
 line per workload and workload seed with the total chain length, the
-certified count, the solver's solves and conflicts, the repair
-increments, and the chains concretised by joining k-reach witnesses
-(0 for a checkout that does not count them), so a change to the search
-shows its aggregate effect next to the per-instance list.  `Stats` fields that only one of the two files
+certified count, the first solver's variables, clauses, solves and
+conflicts, the repair increments, and the chains concretised by joining
+k-reach witnesses (0 for a checkout that does not count them), so a
+change to the search or the encoding shows its aggregate effect next to
+the per-instance list.  `Stats` fields that only one of the two files
 has are skipped, so a change may add or drop a field.  This is a tool,
 not part of the test suite.
 """
@@ -207,6 +208,8 @@ def aggregates(path: Path, runs: dict) -> list[str]:
         lines.append(
             f"{path} {key}: length {sum(total_length(r) for r in recs)}, "
             f"{sum(r.get('status') == CERTIFIED for r in recs)} certified, "
+            f"{sum(s.get('nvars', 0) for s in solver)} vars, "
+            f"{sum(s.get('clauses', 0) for s in solver)} clauses, "
             f"{sum(s.get('solves', 0) for s in solver)} solves, "
             f"{sum(s.get('conflicts', 0) for s in solver)} conflicts, "
             f"{sum(r.get('stats', {}).get('repair_increments', 0) for r in recs)}"
