@@ -18,12 +18,13 @@ never assign or propagate them.
 
 `simple_run_exists` bounds depth rather than probing it: it tells the
 k-reach build when deeper queries from a source can find nothing (the
-recurrence diameter as a completeness threshold).  `join_witnesses`
-concretises a path with no solve, from the witnesses of its edges when
-they meet in equal states; `check_path` asks the solver.
-`canonical_failure` names a failed path range that follows from
+recurrence diameter as a completeness threshold).  `check_path` is the
+one query for a planned path: it joins the witnesses of the path's edges
+when they meet in equal states (`join_witnesses`, no solve), else solves
+the path once, and on a failure names a range that follows from
 feasibility answers alone, so no result of the engine hangs on which
-unsat core the solver returns.
+unsat core the solver returns.  `path_feasible` asks only whether a path
+concretises.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class PathCheck:
     trace: Optional[list[dict]] = None
     failed_lo: int = -1
     failed_hi: int = -1
+    joined: bool = False    # joined from k-reach witnesses, with no solve
 
 
 class Unrolling:
@@ -371,25 +373,57 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
     """Concretise an abstract path: pin each vertex at the cumulative
     offset of the weights before it, connected by the transition relation.
 
-    Feasible: returns the decoded input sequence (length = sum of
-    weights) and trace.  Infeasible: returns the smallest contiguous
-    vertex range covering the solver's assumption core as it is (one
-    solve either way), widened to at least three vertices; a backend
-    that gives no core blames the whole path.  Which core comes back
-    depends on the solver's search; `canonical_failure` names a range
-    that does not."""
+    Feasible: returns the input sequence (length = sum of weights) and
+    trace, joined from the edges' k-reach witnesses with no solve when
+    `join_witnesses` can (marked `joined`), else decoded from one solve.
+    Infeasible: returns a failed range that depends only on which vertex
+    sets are feasible at the path's offsets, not on the core the solver
+    returned: `hi` is the smallest index whose prefix `pins[0..hi]` is
+    infeasible, `lo` the largest index for which `pins[lo..hi]` still
+    is, widened to at least three vertices, to the left unless it starts
+    the path.
+
+    The probes that find it reuse the path's tags.  Infeasibility is
+    monotone in both bounds, and the range of the path's core is
+    infeasible, so `hi` is at most its end.  Each infeasible probe of a
+    shorter prefix `pins[0..hi-1]` lowers `hi` to its core's largest
+    index, until a probe is feasible.  Then every core of an infeasible
+    range ending at `hi` holds `hi`, and each infeasible probe of
+    `pins[lo+1..hi]` raises `lo` to its core's smallest index, until a
+    probe is feasible.  Each probe moves a bound or ends its search, and
+    where the searches end depends only on the probes' verdicts.  A
+    backend without cores moves a bound by one vertex per probe."""
+    joined = join_witnesses(unr, pins, weights)
+    if joined is not None:
+        return joined
+    n = len(pins)
     with unr.scope() as fresh:
         tags = _tag_path(unr, pins, weights, fresh)
-        res = unr.solver.solve(tags)
-    if res.status == sat.SAT:
-        trace, inputs = unr.decode_run(res.model, sum(weights))
-        return PathCheck(True, inputs=inputs, trace=trace)
-    idxs = _core_indices(tags, res.core, 0, len(tags) - 1)
-    if not idxs:
-        raise BmcError(f"path query unsatisfiable without any pinned vertex: "
-                       f"no run of {unr.horizon} steps satisfies the "
-                       f"invariant and input assumption")
-    return _failed(min(idxs), max(idxs), len(pins))
+        res, core = _probe(unr, tags, 0, n - 1)
+        if core is None:
+            trace, inputs = unr.decode_run(res.model, sum(weights))
+            return PathCheck(True, inputs=inputs, trace=trace)
+        lo, hi = min(core), max(core)
+        while hi > 0:
+            shorter = _probe(unr, tags, 0, hi - 1)[1]
+            if shorter is None:
+                break
+            lo, hi = min(shorter), max(shorter)
+        while lo < hi:
+            inner = _probe(unr, tags, lo + 1, hi)[1]
+            if inner is None:
+                break
+            lo = min(inner)
+    lo, hi = _widened(lo, hi, n)
+    return PathCheck(False, failed_lo=lo, failed_hi=hi)
+
+
+def path_feasible(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> bool:
+    """Does the path concretise?  `check_path`'s solve, with no witness
+    joined, no run decoded and no failed range named."""
+    with unr.scope() as fresh:
+        tags = _tag_path(unr, pins, weights, fresh)
+        return _probe(unr, tags, 0, len(tags) - 1)[1] is None
 
 
 def join_witnesses(unr: Unrolling, pins: Sequence[Pin],
@@ -403,12 +437,12 @@ def join_witnesses(unr: Unrolling, pins: Sequence[Pin],
 
     Every witness satisfies the invariant and the input assumption at
     each of its steps, and the transition is deterministic, so a joined
-    run is a run of the path query, and the answer `check_path` would
+    run is a run of the path query, and the answer its solve would
     give, with the witnesses' inputs in place of the solver's.  (That
     query also asks the run to go on within the invariant up to the
     unrolling's horizon, which every run can unless some state is a
-    dead end; where one is, `check_path`'s answer depends on the
-    horizon and this one does not.)"""
+    dead end; where one is, the solve's answer depends on the horizon
+    and this one does not.)"""
     trace: list[dict] = []
     inputs: list[dict] = []
     for src, dst, w in zip(pins, pins[1:], weights):
@@ -429,7 +463,7 @@ def join_witnesses(unr: Unrolling, pins: Sequence[Pin],
     offsets = accumulate(weights, initial=0)
     if not all(_pin_holds(p, trace, inputs, o) for p, o in zip(pins, offsets)):
         return None
-    return PathCheck(True, inputs=inputs, trace=trace)
+    return PathCheck(True, inputs=inputs, trace=trace, joined=True)
 
 
 def _pin_holds(pin: Pin, trace: list[dict], inputs: list[dict], o: int) -> bool:
@@ -443,50 +477,6 @@ def _pin_holds(pin: Pin, trace: list[dict], inputs: list[dict], o: int) -> bool:
     return (bool(eval_expr(pin.phi, trace[o], inputs[o]))
             and (pin.psi is None
                  or bool(eval_expr(pin.psi, trace[o], inputs[o], trace[o + 1]))))
-
-
-def canonical_failure(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
-                      chk: PathCheck) -> PathCheck:
-    """`chk`, the `check_path` of this path, with a failed range that
-    depends only on which vertex sets are feasible at the path's
-    offsets, not on the core the solver returned: `hi` is the smallest
-    index whose prefix `pins[0..hi]` is infeasible, `lo` the largest
-    index for which `pins[lo..hi]` still is, widened to at least three
-    vertices as `check_path` widens.  A feasible `chk` is returned as it
-    is, with no solve.
-
-    Infeasibility is monotone in both bounds, and `chk`'s range is
-    infeasible, so `hi` is at most its end.  Each infeasible probe of a
-    shorter prefix `pins[0..hi-1]` lowers `hi` to its core's largest
-    index, until a probe is feasible.  Then every core of an infeasible
-    range ending at `hi` holds `hi`, and each infeasible probe of
-    `pins[lo+1..hi]` raises `lo` to its core's smallest index, until a
-    probe is feasible.  Each probe moves a bound or ends its search, and
-    where the searches end depends only on the probes' verdicts.  A
-    backend without cores moves a bound by one vertex per probe."""
-    if chk.feasible:
-        return chk
-    lo, hi = chk.failed_lo, chk.failed_hi
-
-    def probe(a: int, b: int) -> Optional[list[int]]:
-        res = unr.solver.solve(tags[a:b + 1])
-        if res.status == sat.SAT:
-            return None
-        return _core_indices(tags, res.core, a, b)
-
-    with unr.scope() as fresh:
-        tags = _tag_path(unr, pins[:hi + 1], weights[:hi], fresh)
-        while hi > 0:
-            shorter = probe(0, hi - 1)
-            if shorter is None:
-                break
-            lo, hi = min(shorter), max(shorter)
-        while lo < hi:
-            inner = probe(lo + 1, hi)
-            if inner is None:
-                break
-            lo = min(inner)
-    return _failed(lo, hi, len(pins))
 
 
 def _tag_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
@@ -507,21 +497,31 @@ def _tag_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int],
     return tags
 
 
-def _core_indices(tags: list[int], core: Optional[list[int]], a: int, b: int) -> list[int]:
-    """Indices in `a..b` of the tags in an assumption core; all of them
-    when the backend gives no core."""
-    if core is None:
-        return list(range(a, b + 1))
-    members = set(core)
-    return [i for i in range(a, b + 1) if tags[i] in members]
+def _probe(unr: Unrolling, tags: list[int], a: int,
+           b: int) -> tuple[sat.SolveResult, Optional[list[int]]]:
+    """Solve with the tags of vertices a..b assumed: the result, and
+    None when it is satisfiable, else the indices in a..b of the tags in
+    its core (all of them when the backend gives no core)."""
+    res = unr.solver.solve(tags[a:b + 1])
+    if res.status == sat.SAT:
+        return res, None
+    if res.core is None:
+        return res, list(range(a, b + 1))
+    members = set(res.core)
+    idxs = [i for i in range(a, b + 1) if tags[i] in members]
+    if not idxs:
+        raise BmcError(f"path query unsatisfiable without any pinned vertex: "
+                       f"no run of {unr.horizon} steps satisfies the "
+                       f"invariant and input assumption")
+    return res, idxs
 
 
-def _failed(lo: int, hi: int, n: int) -> PathCheck:
-    """An infeasible check naming `lo..hi` of an n-vertex path, widened
-    to at least three vertices: to the left unless it starts the path."""
+def _widened(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """The range `lo..hi` of an n-vertex path widened to at least three
+    vertices: to the left unless it starts the path."""
     while hi - lo < 2 and (lo > 0 or hi < n - 1):
         if lo > 0:
             lo -= 1
-        elif hi < n - 1:
+        else:
             hi += 1
-    return PathCheck(False, failed_lo=lo, failed_hi=hi)
+    return lo, hi

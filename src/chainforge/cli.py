@@ -213,7 +213,10 @@ def _report_chains(data, model: Model) -> list:
 
 def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
     """Replay each chain of a report from its recorded start state, which
-    must lie in the start-state set."""
+    must lie in the start-state set: the chain must reproduce its trace
+    and the first-cover step of every property it records, violate no
+    assertion and end in the final set.  Together the chains must cover
+    every property."""
     try:
         chains = _read(args.replay, lambda text: _report_chains(json.loads(text), model))
     except ValueError as ex:
@@ -222,24 +225,32 @@ def _do_replay(args, model: Model, props, init_expr, final_expr) -> int:
     if chains is None:
         return EXIT_PARSE
     ok = True
-    for ci, chain in enumerate(chains):
+    covered: set[str] = set()
+    for ci, chain in enumerate(chains, 1):
         start = chain["trace"][0]
         try:
             report = replay(model, props, final_expr, chain["inputs"], start=start)
         except ModelError as ex:
             ok = False
-            print(f"chain {ci + 1}: replay MISMATCH ({ex})")
+            print(f"chain {ci}: replay MISMATCH ({ex})")
             continue
+        claimed = chain.get("covers", {})
+        same_covers = isinstance(claimed, dict) and all(
+            report.covers.get(name) == at for name, at in claimed.items())
         same_trace = [dict(s) for s in report.trace] == chain["trace"]
-        same_covers = report.covers == chain.get("covers", {})
-        status = ("ok" if eval_expr(init_expr, start) and report.ok and same_trace
-                  and same_covers else "MISMATCH")
-        if status != "ok":
-            ok = False
-        print(f"chain {ci + 1}: replay {status} "
+        if same_covers:
+            covered.update(claimed)
+        good = (eval_expr(init_expr, start) and report.final_ok
+                and not report.violations and same_trace and same_covers)
+        ok = ok and good
+        print(f"chain {ci}: replay {'ok' if good else 'MISMATCH'} "
               f"(covered {sorted(report.covers)}, final={'yes' if report.final_ok else 'no'})")
         for name, at in report.violations:
             print(f"  assertion of '{name}' violated at step {at}")
+    uncovered = [p.name for p in props if p.name not in covered]
+    if uncovered:
+        ok = False
+        print(f"replay MISMATCH: no chain covers {uncovered}")
     return EXIT_OK if ok else EXIT_NO_CHAIN
 
 

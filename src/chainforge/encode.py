@@ -73,6 +73,10 @@ class Gates:
     def const(self, b: bool) -> int:
         return self.T if b else -self.T
 
+    def const_bits(self, c: int, w: int) -> tuple[int, ...]:
+        """The w low bits of c, as constants."""
+        return tuple(self.const(bool((c >> i) & 1)) for i in range(w))
+
     def is_true(self, lit: int) -> bool:
         return lit == self.T
 
@@ -250,26 +254,6 @@ class Gates:
             out.append(s)
         return tuple(out)
 
-    def add_const_bits(self, a: tuple[int, ...], c: int, max_sum: int) -> tuple[int, ...]:
-        assert c >= 0
-        cbits = tuple(self.const(bool((c >> i) & 1)) for i in range(width_for(c)))
-        return self.add_bits(a, cbits, max_sum)
-
-    def sub_const_bits(self, a: tuple[int, ...], c: int) -> tuple[int, ...]:
-        """a - c for a semantically >= c (garbage otherwise; callers guard)."""
-        assert c >= 0
-        out = []
-        borrow = -self.T
-        for i in range(len(a)):
-            d = (c >> i) & 1
-            if d:
-                out.append(self.liff(a[i], borrow))
-                borrow = self.lor(-a[i], borrow)
-            else:
-                out.append(self.lxor(a[i], borrow))
-                borrow = self.land(-a[i], borrow)
-        return tuple(out)
-
     def rsub_const_bits(self, c: int, b: tuple[int, ...]) -> tuple[int, ...]:
         """c - b for b semantically <= c (garbage otherwise)."""
         assert c >= 0
@@ -320,10 +304,8 @@ class Gates:
         return BV(self.add_bits(x.bits, neg, m), x.lo - y.lo - y.max_off, m)
 
     def _aligned(self, x: BV, y: BV) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        c = x.lo - y.lo
-        if c >= 0:
-            return self.add_const_bits(x.bits, c, x.max_off + c), y.bits
-        return x.bits, self.add_const_bits(y.bits, -c, y.max_off - c)
+        lo = min(x.lo, y.lo)
+        return self.rebased(x, lo, x.hi - lo), self.rebased(y, lo, y.hi - lo)
 
     def int_lt(self, x: BV, y: BV) -> int:
         if x.hi < y.lo:
@@ -343,9 +325,26 @@ class Gates:
         return self.ueq_bits(a, b)
 
     def rebased(self, x: BV, lo: int, m: int) -> tuple[int, ...]:
-        """x's bits as an offset from lo, for a result of max offset m."""
-        if x.lo != lo or len(x.bits) < width_for(m):
-            return self.add_const_bits(x.bits, x.lo - lo, m)
+        """x's bits as an offset from lo, for a result of max offset m.  A
+        constant folds to its bits here; otherwise the bits are shifted up
+        by the adder, or down by a borrow chain, which is right only
+        where x >= lo (callers guard the rest)."""
+        c = x.lo - lo
+        if not x.bits:
+            return self.const_bits(c, width_for(m))
+        if c < 0:
+            out = []
+            borrow = -self.T
+            for i, a in enumerate(x.bits):
+                if (-c >> i) & 1:
+                    out.append(self.liff(a, borrow))
+                    borrow = self.lor(-a, borrow)
+                else:
+                    out.append(self.lxor(a, borrow))
+                    borrow = self.land(-a, borrow)
+            return tuple(out)
+        if c or len(x.bits) < width_for(m):
+            return self.add_bits(x.bits, self.const_bits(c, width_for(c)), m)
         return x.bits
 
     def bv_ite(self, c: int, x: BV, y: BV) -> BV:
@@ -369,27 +368,17 @@ class Gates:
         return BV(bits, lo, m)
 
     def clamp(self, x: BV, dom: IntRange) -> BV:
-        """Saturate x into dom: values below map to dom.lo, above to dom.hi."""
+        """Saturate x into dom: values below map to dom.lo, above to
+        dom.hi.  Within dom, `below` and `above` fold to false and the
+        result is x rebased."""
         m = dom.hi - dom.lo
-        w = width_for(m)
-        if x.lo >= dom.lo and x.hi <= dom.hi:
-            # already in range: just re-base the offset
-            bits = self.add_const_bits(x.bits, x.lo - dom.lo, x.hi - dom.lo)[:w] \
-                if x.lo != dom.lo else x.bits[:w]
-            bits = tuple(bits) + tuple(-self.T for _ in range(w - len(bits)))
-            return BV(bits, dom.lo, m)
         below = self.int_lt(x, self.bv_const(dom.lo))
         above = self.int_lt(self.bv_const(dom.hi), x)
-        if x.lo >= dom.lo:
-            mid = self.add_const_bits(x.bits, x.lo - dom.lo, x.max_off + x.lo - dom.lo)
-        else:
-            mid = self.sub_const_bits(x.bits, dom.lo - x.lo)
-        out = []
-        for i in range(w):
-            hi_bit = self.const(bool((m >> i) & 1))
-            mid_bit = mid[i] if i < len(mid) else -self.T
-            out.append(self.lite(below, -self.T, self.lite(above, hi_bit, mid_bit)))
-        return BV(tuple(out), dom.lo, m)
+        mid = self.rebased(x, dom.lo, x.hi - dom.lo)
+        bits = tuple(self.lite(below, -self.T,
+                               self.lite(above, h, mid[i] if i < len(mid) else -self.T))
+                     for i, h in enumerate(self.const_bits(m, width_for(m))))
+        return BV(bits, dom.lo, m)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +419,7 @@ def decode_var(enc: EncodedVar, model_bits: list[bool], dom: Domain):
 def enum_const(gates: Gates, dom: EnumDomain, name: str) -> BV:
     """An enum constant's index at the full width of its domain."""
     idx = dom.index(name)
-    w = width_for(dom.size - 1)
-    return BV(tuple(gates.const(bool((idx >> i) & 1)) for i in range(w)), 0, dom.size - 1)
+    return BV(gates.const_bits(idx, width_for(dom.size - 1)), 0, dom.size - 1)
 
 
 #: Fewest `==` arms a chain needs to be encoded as a case split; a

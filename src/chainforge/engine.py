@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import sat
-from .bmc import PathCheck, Unrolling, canonical_failure, check_path, join_witnesses
+from .bmc import PathCheck, Unrolling, check_path, path_feasible
 from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Property,
                     SPACE_NEXT, SPACE_STATE, SPACE_INPUT, SortError, TestChain,
                     check_spaces, conj, disj, reachable_states, replay, sort_of)
@@ -143,7 +143,7 @@ def _repair(unr: Unrolling, g: ReachGraph, vs: list[int], ws: list[int],
     for j in range(lo, hi):
         _check_deadline(cfg)
         w = next((w for w in range(ws[j], cfg.k_max + 1)
-                  if check_path(unr, pins[lo:j + 2], ws[lo:j] + [w]).feasible), None)
+                  if path_feasible(unr, pins[lo:j + 2], ws[lo:j] + [w])), None)
         if w is None:
             return j
         stats.repair_increments += w - ws[j]
@@ -326,13 +326,13 @@ def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
                   cfg: EngineConfig, stats: Stats, rebuild=None) -> Optional[ChainResult]:
     """Plan, check, and escalate on failure: check the repaired path
     again; else rebuild the complete graph once, if a rebuild is pending;
-    else split the vertex repair names and plan again.  A path is first
-    joined from its edges' k-reach witnesses (`join_witnesses`, no
-    solve); only when they do not join is it checked by the monolithic
-    path query.  The failed range of the planned path is the canonical
-    one, so, like repair's prefix checks, it follows from feasibility
-    answers alone and not from the solver's search.  None when no
-    covering path exists or survives refinement."""
+    else split the vertex repair names and plan again.  Each planned
+    path gets one `check_path`: joined from its edges' k-reach witnesses
+    with no solve where they join, else solved once, and a failed path
+    probed for its failed range, which, like the verdicts of repair's
+    `path_feasible` checks, follows from feasibility answers alone and
+    not from the solver's search.  None when no covering path exists or
+    survives refinement."""
     vs: Optional[list[int]] = None
     splits = 0
     for _round in range(MAX_ROUNDS):
@@ -346,11 +346,8 @@ def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
                 stats.initial_abstract_path = [g.vertices[v].name for v in vs]
                 stats.initial_abstract_weights = list(ws)
         pins = [g.vertices[v].pin() for v in vs]
-        chk = join_witnesses(unr, pins, ws)
-        if chk is not None:
-            stats.joined_chains += 1
-        else:
-            chk = canonical_failure(unr, pins, ws, check_path(unr, pins, ws))
+        chk = check_path(unr, pins, ws)
+        stats.joined_chains += chk.joined
         if chk.feasible:
             return _finish(unr, props, g, vs, ws, chk, stats)
         if stats.first_failed_path is None:

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from chainforge import bmc, encode, reachgraph
-from chainforge.bmc import (BmcError, Pin, Unrolling, canonical_failure,
-                            check_path, get_kreach_edges, join_witnesses,
+from chainforge.bmc import (BmcError, Pin, Unrolling, check_path,
+                            get_kreach_edges, join_witnesses, path_feasible,
                             simple_run_exists)
 from chainforge.dsl import parse_model, parse_properties, parse_state_set
 from chainforge.encode import assert_assignment, encode_expr
@@ -150,7 +150,7 @@ def test_kreach_query_leaves_nothing_live(which, k, cruise_model, cruise_props,
 def _placed(query, pins, k):
     """The arguments of one query on `pins`, and the (expression, step)
     encodings it keeps: trigger and assertion encodings only."""
-    if query is check_path:
+    if query in (check_path, path_feasible):
         placed = [(e, i * k) for i, p in enumerate(pins) for e in (p.phi, p.psi)]
         return (pins, [k] * (len(pins) - 1)), placed
     if query is get_kreach_edges:
@@ -162,7 +162,8 @@ def _placed(query, pins, k):
     return (pins[1], k), [(pins[1].phi, 0), (pins[1].psi, 0)]
 
 
-@pytest.mark.parametrize("query", [check_path, get_kreach_edges, simple_run_exists])
+@pytest.mark.parametrize("query", [check_path, path_feasible, get_kreach_edges,
+                                   simple_run_exists])
 def test_a_query_whose_solve_raises_leaves_nothing_live(query, cruise_model,
                                                         cruise_props, cruise_final):
     """On a solver whose deadline has passed, the query's solve raises
@@ -213,21 +214,30 @@ def test_check_path_empty_chain(cruise_model, cruise_final):
 
 def test_check_path_broken_chain_failed_subpath(cruise_model, cruise_final,
                                                 broken_chain_props):
+    """<I, p1, p2, F> fails at <I, p1, p2>; stretched, it is feasible at
+    the cost of one solve, and once the k-reach build has resolved its
+    pairs, a path whose witnesses join costs none."""
     unr = Unrolling(cruise_model)
     vs = make_vertices(broken_chain_props, cruise_final, cruise_final)
     pins = [v.pin() for v in vs]
-    solves = unr.solver.stats_solves
     res = check_path(unr, pins, [0, 1, 2])
     assert not res.feasible
-    assert unr.solver.stats_solves == solves + 1      # the core costs no solve
     assert (res.failed_lo, res.failed_hi) == (0, 2)   # <I, p1, p2>
     # the failed subpath alone, at the same weights, is still infeasible
     sub = check_path(unr, pins[0:3], [0, 1])
     assert not sub.feasible
     # and the stretched variant becomes feasible
+    solves = unr.solver.stats_solves
     res2 = check_path(unr, pins, [0, 2, 2])
-    assert res2.feasible
+    assert res2.feasible and not res2.joined
+    assert unr.solver.stats_solves == solves + 1
     assert len(res2.inputs) == 4
+    build_reach_graph(unr, broken_chain_props, cruise_final, cruise_final,
+                      k_max=4, exhaust=True)
+    solves = unr.solver.stats_solves
+    res3 = check_path(unr, [pins[0], pins[2], pins[3]], [2, 2])   # <I, p2, F>
+    assert res3.feasible and res3.joined
+    assert unr.solver.stats_solves == solves
 
 
 DEAD_END_MODEL = """model deadend {
@@ -279,30 +289,31 @@ def test_check_path_widens_a_narrow_core(states, failed):
     assert (res.failed_lo, res.failed_hi) == failed
 
 
-def test_check_path_blames_the_whole_path_without_a_core(cruise_model, cruise_final,
-                                                         broken_chain_props):
-    """The external backend gives no unsat core, so the failed range is
-    the whole path rather than the core's <I, p1, p2>."""
+def test_check_path_names_the_canonical_window_without_a_core(cruise_model, cruise_final,
+                                                              broken_chain_props):
+    """The external backend gives no unsat core, so its probes move the
+    window's bounds one vertex at a time, and it names the same failed
+    range as the embedded solver: <I, p1, p2>."""
     stub = Path(__file__).parent / "external_stub.py"
-    unr = Unrolling(cruise_model, ExternalSolver(f"{sys.executable} {stub}"))
-    vs = make_vertices(broken_chain_props, cruise_final, cruise_final)
-    res = check_path(unr, [v.pin() for v in vs], [0, 1, 2])
-    assert not res.feasible
-    assert (res.failed_lo, res.failed_hi) == (0, 3)
+    pins = [v.pin() for v in make_vertices(broken_chain_props, cruise_final, cruise_final)]
+    for solver in (ExternalSolver(f"{sys.executable} {stub}"), Solver()):
+        res = check_path(Unrolling(cruise_model, solver), pins, [0, 1, 2])
+        assert not res.feasible
+        assert (res.failed_lo, res.failed_hi) == (0, 2)
 
 
 def _brute_window(unr, pins, weights):
-    """The canonical failed range by its definition, one `check_path`
+    """The canonical failed range by its definition, one `path_feasible`
     per candidate: the shortest infeasible prefix ends at `hi`; `lo` is
     the last start at which `pins[lo..hi]` stays infeasible, the pins
     before it left free (true) so every pin keeps its offset; then
     widened to three vertices."""
     n = len(pins)
     hi = next(h for h in range(n)
-              if not check_path(unr, pins[:h + 1], weights[:h]).feasible)
+              if not path_feasible(unr, pins[:h + 1], weights[:h]))
     free = [Pin(TRUE)] * n
     lo = max(s for s in range(hi + 1)
-             if not check_path(unr, free[:s] + pins[s:hi + 1], weights[:hi]).feasible)
+             if not path_feasible(unr, free[:s] + pins[s:hi + 1], weights[:hi]))
     while hi - lo < 2 and (lo > 0 or hi < n - 1):
         if lo > 0:
             lo -= 1
@@ -325,7 +336,7 @@ def _split_table_paths():
 def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
                                                     broken_chain_props):
     """On the cruise broken chain and on failing paths of the split
-    table, `canonical_failure` names the range found by brute force,
+    table, `check_path` names the range found by brute force,
     under the default search and under one that starts every variable
     at phase True (whose cores differ)."""
     pins = [v.pin() for v in make_vertices(broken_chain_props, cruise_final, cruise_final)]
@@ -333,10 +344,9 @@ def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
     failing = narrowed = 0
     for model, pins, ws in cases:
         want = _brute_window(Unrolling(model), pins, ws) \
-            if not check_path(Unrolling(model), pins, ws).feasible else None
+            if not path_feasible(Unrolling(model), pins, ws) else None
         for solver in (Solver(), PhaseTrueSolver()):
-            unr = Unrolling(model, solver)
-            chk = canonical_failure(unr, pins, ws, check_path(unr, pins, ws))
+            chk = check_path(Unrolling(model, solver), pins, ws)
             assert chk.feasible == (want is None)
             if want is not None:
                 assert (chk.failed_lo, chk.failed_hi) == want, (pins, ws)
@@ -345,16 +355,16 @@ def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
     assert failing >= 30 and narrowed >= 30
 
 
-def test_canonical_window_costs_no_solve_on_a_feasible_path(cruise_model, cruise_props,
-                                                           cruise_final):
-    unr = Unrolling(cruise_model)
-    by_name = {v.name: v for v in make_vertices(cruise_props, cruise_final, cruise_final)}
-    pins = [by_name[n].pin() for n in ["I", "p4", "p1", "p2", "p3", "F"]]
-    chk = check_path(unr, pins, [2, 2, 2, 1, 2])
-    assert chk.feasible
-    solves = unr.solver.stats_solves
-    assert canonical_failure(unr, pins, [2, 2, 2, 1, 2], chk) is chk
-    assert unr.solver.stats_solves == solves
+def test_path_feasible_is_the_path_querys_verdict(cruise_model, cruise_final,
+                                                   broken_chain_props):
+    """On the brute-force cases, under both searches, `path_feasible`
+    answers what `check_path` does."""
+    pins = [v.pin() for v in make_vertices(broken_chain_props, cruise_final, cruise_final)]
+    cases = [(cruise_model, pins, [0, 1, 2]), *_split_table_paths()]
+    for model, pins, ws in cases:
+        for solver in (Solver, PhaseTrueSolver):
+            assert path_feasible(Unrolling(model, solver()), pins, ws) == \
+                check_path(Unrolling(model, solver()), pins, ws).feasible
 
 
 def test_kreach_keeps_one_guard_per_depth():

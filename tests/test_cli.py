@@ -361,3 +361,51 @@ def test_replay_of_a_chain_illegal_for_the_model_is_a_mismatch(tmp_path, capsys,
     assert code == 2
     out = capsys.readouterr().out
     assert out.startswith("chain 1: replay MISMATCH (") and error in out
+
+
+HUB_MODEL = """model hub {
+  state s : 0..4 init 0;
+  input a : 0..1;
+  trans { s' = s == 0 ? (a == 0 ? 1 : 3) : s == 1 ? 2 : s == 2 ? 1 : s == 3 ? 4 : 3; }
+}
+"""
+HUB_PROPS = "".join(f"property p{v} {{ assume s == {v}; assert true; }}\n"
+                    for v in range(1, 5))
+
+
+def _hub_files(tmp_path):
+    model, props = tmp_path / "hub.rsys", tmp_path / "hub.props"
+    model.write_text(HUB_MODEL)
+    props.write_text(HUB_PROPS)
+    return str(model), str(props)
+
+
+def test_replay_of_a_multi_chain_report_round_trips(tmp_path, capsys):
+    """The hub enters one of two closed clusters, so each chain covers
+    only its own cluster's properties: each replays ok, and together
+    they cover every property."""
+    files = _hub_files(tmp_path)
+    report = tmp_path / "report.json"
+    assert run_cli("generate", *files, "--final", "true", "--format", "json",
+                   "--output", str(report)) == 0
+    data = json.loads(report.read_text())
+    assert data["status"] == "multi-chain"
+    assert [sorted(c["covers"]) for c in data["chains"]] == [["p1", "p2"], ["p3", "p4"]]
+    capsys.readouterr()
+    code = run_cli("generate", *files, "--final", "true", "--replay", str(report))
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in out] == ["chain 1: replay ok",
+                                                      "chain 2: replay ok"]
+
+
+def test_replay_of_a_report_without_chains_is_a_mismatch(tmp_path, capsys):
+    """No chain covers any property, so the replay names them all and
+    fails."""
+    files = _hub_files(tmp_path)
+    report = tmp_path / "report.json"
+    report.write_text('{"chains": []}')
+    code = run_cli("generate", *files, "--final", "true", "--replay", str(report))
+    assert code == 2
+    assert capsys.readouterr().out == \
+        "replay MISMATCH: no chain covers ['p1', 'p2', 'p3', 'p4']\n"

@@ -301,3 +301,37 @@ def test_chain_of_dead_arms_folds_to_its_default(monkeypatch):
             want = xv == 2 or pv
             assert s.solve(pins + [lit if want else -lit]).status == "sat"
             assert s.solve(pins + [-lit if want else lit]).status == "unsat"
+
+
+def test_constant_offsets_fold_without_the_adder(monkeypatch):
+    """Rebasing a constant, as an arm of a `? :` chain (a case split or
+    a nested if-then-else) or as the right side of `x == c`, folds to
+    its bits with no adder, and the encoding holds the interpreter's
+    value."""
+    calls = []
+    add = Gates.add_bits
+    monkeypatch.setattr(Gates, "add_bits", lambda self, *a: calls.append(a) or add(self, *a))
+    dom = IntRange(2, 9)
+    x = Ref("x", "state", dom)
+
+    def c(v):
+        return Const(v, IntRange(v, v))
+
+    def eq(v):
+        return BinOp("==", x, c(v))
+    s, g, enc = _setup({"x": dom})
+    for e in (Ite(eq(3), c(7), Ite(eq(4), c(1), Ite(eq(6), c(12), c(5)))),
+              Ite(eq(3), c(7), c(5)),
+              eq(5)):
+        out = encode_expr(e, g, lambda sp, n: enc[n])
+        assert calls == [], e
+        for v in dom.values():
+            pins = [bit if (v - dom.lo) >> i & 1 else -bit
+                    for i, bit in enumerate(enc["x"].bits)]
+            want = eval_expr(e, {"x": v})
+            if isinstance(out, BV):
+                lit = g.int_eq(out, g.bv_const(want))
+            else:
+                lit = out if want else -out
+            assert s.solve(pins + [lit]).status == "sat", (e, v)
+            assert s.solve(pins + [-lit]).status == "unsat", (e, v)

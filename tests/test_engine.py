@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from chainforge import encode, engine
+from chainforge import bmc, encode, engine
 from chainforge.dsl import parse_properties, parse_state_set
 from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
                                generate_chain, partition_vertex_sets)
@@ -474,35 +474,37 @@ def _join_cases():
 @pytest.mark.parametrize("case", list(_join_cases()), ids=lambda case: str(case[0]))
 def test_joined_witnesses_give_the_path_querys_outcome(case, monkeypatch):
     """Concretising by joining the edges' k-reach witnesses gives what
-    the monolithic path query gives, with no path query where every
-    planned path joins; where one does not (a repaired range, a junction
-    of two-state triggers), the path query runs and the outcome is the
-    same."""
+    the monolithic path query gives, with no solved planned path where
+    every planned path joins; where one does not (a repaired range, a
+    junction of two-state triggers), the path query runs and the outcome
+    is the same."""
     _, model, props, init, final, k_max, joins = case
-    calls = []
+    checks = []
     check_path = engine.check_path
     monkeypatch.setattr(engine, "check_path",
-                        lambda *a: calls.append(a) or check_path(*a))
+                        lambda *a: checks.append(check_path(*a)) or checks[-1])
 
     def outcome():
-        calls.clear()
+        checks.clear()
         res = generate_chain(model, props, init, final, EngineConfig(k_max=k_max))
         for c in res.chains:
             _check_chain(model, props, final, c)
         st = res.stats
+        assert st.joined_chains == sum(chk.joined for chk in checks)
         return (res.status, [c.length for c in res.chains], st.repair_increments,
                 st.refinement_splits, st.abstract_path, st.abstract_weights,
-                st.first_failed_path), st.joined_chains, len(calls)
+                st.first_failed_path), st.joined_chains, \
+            sum(not chk.joined for chk in checks)
 
-    joined, n_joined, n_calls = outcome()
-    monkeypatch.setattr(engine, "join_witnesses", lambda *a: None)
-    solved, n_solved_joined, n_solved_calls = outcome()
+    joined, n_joined, n_solved = outcome()
+    monkeypatch.setattr(bmc, "join_witnesses", lambda *a: None)
+    solved, n_joined_unjoinable, n_solved_unjoinable = outcome()
     assert joined == solved
-    assert n_solved_joined == 0 and n_solved_calls > 0
+    assert n_joined_unjoinable == 0 and n_solved_unjoinable > 0
     if joins:
-        assert n_calls == 0 and n_joined == len(joined[1]) > 0
+        assert n_solved == 0 and n_joined == len(joined[1]) > 0
     else:
-        assert n_calls > 0 and joined[2] + joined[3] > 0
+        assert n_solved > 0 and joined[2] + joined[3] > 0
 
 
 def _case_split_cases():
