@@ -355,6 +355,19 @@ def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
     assert failing >= 30 and narrowed >= 30
 
 
+def test_canonical_window_costs_no_solve_on_a_feasible_path(cruise_model, cruise_props,
+                                                           cruise_final):
+    """A feasible path that does not join costs `check_path` its one path
+    solve: the window probes run only when that solve fails."""
+    unr = Unrolling(cruise_model)
+    by_name = {v.name: v for v in make_vertices(cruise_props, cruise_final, cruise_final)}
+    pins = [by_name[n].pin() for n in ["I", "p4", "p1", "p2", "p3", "F"]]
+    solves = unr.solver.stats_solves
+    chk = check_path(unr, pins, [2, 2, 2, 1, 2])
+    assert chk.feasible and not chk.joined
+    assert unr.solver.stats_solves == solves + 1
+
+
 def test_path_feasible_is_the_path_querys_verdict(cruise_model, cruise_final,
                                                    broken_chain_props):
     """On the brute-force cases, under both searches, `path_feasible`
