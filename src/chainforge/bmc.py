@@ -380,8 +380,9 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
     sets are feasible at the path's offsets, not on the core the solver
     returned: `hi` is the smallest index whose prefix `pins[0..hi]` is
     infeasible, `lo` the largest index for which `pins[lo..hi]` still
-    is, widened to at least three vertices, to the left unless it starts
-    the path.
+    is, widened to the left to at least three vertices where `hi` leaves
+    room.  `pins[0..hi-1]` is feasible at the path's offsets, so only the
+    range's last edge can need repair.
 
     The probes that find it reuse the path's tags.  Infeasibility is
     monotone in both bounds, and the range of the path's core is
@@ -414,8 +415,7 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
             if inner is None:
                 break
             lo = min(inner)
-    lo, hi = _widened(lo, hi, n)
-    return PathCheck(False, failed_lo=lo, failed_hi=hi)
+    return PathCheck(False, failed_lo=max(0, min(lo, hi - 2)), failed_hi=hi)
 
 
 def path_feasible(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> bool:
@@ -515,13 +515,3 @@ def _probe(unr: Unrolling, tags: list[int], a: int,
                        f"invariant and input assumption")
     return res, idxs
 
-
-def _widened(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """The range `lo..hi` of an n-vertex path widened to at least three
-    vertices: to the left unless it starts the path."""
-    while hi - lo < 2 and (lo > 0 or hi < n - 1):
-        if lo > 0:
-            lo -= 1
-        else:
-            hi += 1
-    return lo, hi

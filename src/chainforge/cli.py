@@ -140,15 +140,10 @@ def cmd_generate(args) -> int:
     props = _load_props(args.props, model)
     if props is None:
         return EXIT_PARSE
-    init_text = args.init
-    if init_text is None:
-        if model.initial_state() is None:
-            print("error: --init required (model has no deterministic init)",
-                  file=sys.stderr)
-            return EXIT_PARSE
+    if args.init is None:
         init_expr = model.init_expr()
     else:
-        init_expr = _parse_set(init_text, model, "init")
+        init_expr = _parse_set(args.init, model, "init")
         if init_expr is None:
             return EXIT_PARSE
     if args.final is None:

@@ -373,14 +373,14 @@ def parse_model(text: str, filename: str = "<model>"):
     """Parse one model file.  Returns (Model | None, diagnostics)."""
     diags: list[Diagnostic] = []
     try:
-        m = _parse_model(text, filename, diags)
+        m = _parse_model(text, filename)
     except (ParseError, RecursionError) as ex:
         diags.append(_error(ex, filename))
         return None, diags
     return m, diags
 
 
-def _parse_model(text: str, filename: str, diags: list[Diagnostic]) -> Model:
+def _parse_model(text: str, filename: str) -> Model:
     p = _Parser(text, filename)
     p.expect("ident", "model")
     name = p.ident("a model name").text

@@ -32,10 +32,7 @@ from .model import (BinOp, BoolDomain, Const, Domain, EnumDomain, Expr,
 
 def width_for(n: int) -> int:
     """Bits needed to represent offsets 0..n."""
-    w = 0
-    while (1 << w) <= n:
-        w += 1
-    return w if n > 0 else 0
+    return n.bit_length()
 
 
 @dataclass(frozen=True)
@@ -55,13 +52,14 @@ class Gates:
     """Tseitin gate builder over a solver exposing new_var/add_clause.
 
     `land`, `land_n`, `lite`, `liff` and `lcase` fold constants and
-    identities, then call one maker (`_and`, `_and_n`, `_ite`, `_iff`,
-    `_case`) that normalises the cache key and, on a miss, allocates the
-    gate and writes its clauses in argument order.  A maker always takes
-    two or more literals, so a replayed tape step reads a tuple.  While `tape` is a list, every maker call and
-    every `assert_iff` appends `(maker, args, output)` to it (output None
-    for `assert_iff`), so the same circuit can be rebuilt over other
-    literals by calling the makers again in order."""
+    identities, then call one maker (`_and_n`, `_ite`, `_iff`, `_case`)
+    that normalises the cache key and, on a miss, allocates the gate and
+    writes its clauses in argument order.  A maker always takes two or
+    more literals, so a replayed tape step reads a tuple.  While `tape`
+    is a list, every maker call and every `assert_iff` appends `(maker,
+    args, output)` to it (output None for `assert_iff`), so the same
+    circuit can be rebuilt over other literals by calling the makers
+    again in order."""
 
     def __init__(self, solver):
         self.solver = solver
@@ -90,20 +88,7 @@ class Gates:
             return b
         if self.is_true(b) or a == b:
             return a
-        return self._and(a, b)
-
-    def _and(self, a: int, b: int) -> int:
-        key = ("&", min(a, b), max(a, b))
-        g = self._cache.get(key)
-        if g is None:
-            g = self.solver.new_var()
-            self.solver.add_clause([-g, a])
-            self.solver.add_clause([-g, b])
-            self.solver.add_clause([g, -a, -b])
-            self._cache[key] = g
-        if self.tape is not None:
-            self.tape.append((self._and, (a, b), g))
-        return g
+        return self._and_n(a, b)
 
     def lor(self, a: int, b: int) -> int:
         return -self.land(-a, -b)
@@ -120,7 +105,7 @@ class Gates:
             return self.T
         if len(out) == 1:
             return out[0]
-        return self._and(*out) if len(out) == 2 else self._and_n(*out)
+        return self._and_n(*out)
 
     def _and_n(self, *lits: int) -> int:
         key = ("&*", *sorted(lits))

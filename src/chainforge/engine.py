@@ -128,30 +128,38 @@ def _check_deadline(cfg: EngineConfig) -> None:
 
 def _repair(unr: Unrolling, g: ReachGraph, vs: list[int], ws: list[int],
             lo: int, hi: int, cfg: EngineConfig, stats: Stats) -> Optional[int]:
-    """Stretch the failed subpath edge by edge: edge j takes the fewest
-    steps, from its current weight up to `k_max`, at which the whole
-    prefix from `vs[lo]` to `vs[j + 1]` concretises with the earlier
-    edges at their stretched weights.
+    """Stretch the failed range's last edge j = hi - 1: it takes the
+    fewest steps, from its current weight up to `k_max`, at which the
+    whole range from `vs[lo]` to `vs[hi]` concretises with the earlier
+    edges at their weights.  `check_path` proved the prefix before
+    `vs[hi]` feasible at the path's offsets, so wherever every state of
+    the invariant has a successor in it, the range's earlier edges go
+    through at their weights and only the last one can need more steps.
 
-    Returns None when some edge stretched, so the path is worth checking
+    Returns None when the edge stretched, so the path is worth checking
     again.  Otherwise returns the position in `vs` of the vertex to
-    split: the dead-end edge's source, or the range's second vertex when
-    the range concretises unstretched from some state of `vs[lo]`, so it
-    fails only from the states the path reaches `vs[lo]` at."""
-    pins = [g.vertices[v].pin() for v in vs]
-    old = ws[lo:hi]
-    for j in range(lo, hi):
-        _check_deadline(cfg)
-        w = next((w for w in range(ws[j], cfg.k_max + 1)
-                  if path_feasible(unr, pins[lo:j + 2], ws[lo:j] + [w])), None)
-        if w is None:
-            return j
-        stats.repair_increments += w - ws[j]
-        ws[j] = w
-        key = (vs[j], vs[j + 1])
-        if g.weights.get(key, -1) < w:
-            g.weights[key] = w
-    return None if ws[lo:hi] != old else lo + 1
+    split: the edge's source when no weight works, or the range's second
+    vertex when the range concretises unstretched from some state of
+    `vs[lo]`, so it fails only from the states the path reaches `vs[lo]`
+    at.  A range of one vertex (no start state satisfies the first pin)
+    returns 0."""
+    _check_deadline(cfg)
+    if hi == 0:
+        return 0
+    j = hi - 1
+    pins = [g.vertices[v].pin() for v in vs[lo:hi + 1]]
+    w = next((w for w in range(ws[j], cfg.k_max + 1)
+              if path_feasible(unr, pins, ws[lo:j] + [w])), None)
+    if w is None:
+        return j
+    if w == ws[j]:
+        return lo + 1
+    stats.repair_increments += w - ws[j]
+    ws[j] = w
+    key = (vs[j], vs[hi])
+    if g.weights.get(key, -1) < w:
+        g.weights[key] = w
+    return None
 
 
 # ---------------------------------------------------------------------------

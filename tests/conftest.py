@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from chainforge.dsl import parse_model, parse_properties, parse_state_set
-from chainforge.model import TRUE, Property, disj
-from chainforge.oracle import state_eq, table_model
+from chainforge.model import TRUE, BinOp, Property, conj, disj
+from chainforge.oracle import int_const, state_eq, table_model
 from chainforge.sat import Solver
 
 BENCHES = Path(__file__).parent.parent / "benches"
@@ -63,6 +64,50 @@ def split_table_case():
     props = [Property(f"p{j}", disj(*(state_eq(m, s) for s in ss)), TRUE)
              for j, ss in enumerate(members)]
     return m, props, state_eq(m, 0)
+
+
+def eden_table_case():
+    """An 11-state table model whose planned path I, pa, p0, p1, p2, F
+    at weight 1 per edge fails on the window p0, p1, p2, which goes
+    through at its weights only from 7, a state no state leads to:
+    (model, properties, the start and final set)."""
+    table = [[1, 2], [10, 10], [0, 0], [5, 5], [8, 8], [0, 0], [0, 0], [3, 3],
+             [9, 9], [5, 5], [4, 4]]
+    m = table_model("eden", table)
+    props = [Property("pa", state_eq(m, 1), TRUE),
+             Property("p0", disj(state_eq(m, 10), state_eq(m, 7)), TRUE),
+             Property("p1", disj(state_eq(m, 3), state_eq(m, 4)), TRUE),
+             Property("p2", state_eq(m, 5), TRUE)]
+    return m, props, state_eq(m, 0)
+
+
+def table_family_case(seed: int):
+    """Table-family model `seed`: 8-19 states and 2-3 inputs under a
+    uniform random transition table, 3-6 properties each triggering on
+    1-3 distinct states, pinned to one input with probability 0.5, with
+    `assert true`; start `s == 0`, final true (k_max 12).  Returns
+    (model, properties, the start set, the final set)."""
+    rng = random.Random(seed)
+    n, m = rng.randint(8, 19), rng.randint(2, 3)
+    model = table_model(f"fam{seed}", [[rng.randrange(n) for _ in range(m)]
+                                       for _ in range(n)])
+    props = []
+    for j in range(rng.randint(3, 6)):
+        trigger = disj(*(state_eq(model, s) for s in rng.sample(range(n), rng.randint(1, 3))))
+        if rng.random() < 0.5:
+            trigger = conj(trigger, BinOp("==", model.input_ref("a"),
+                                          int_const(rng.randrange(m))))
+        props.append(Property(f"p{j}", trigger, TRUE))
+    return model, props, state_eq(model, 0), TRUE
+
+
+def random_paths(n_vertices: int, rng: random.Random, count: int):
+    """`count` seeded random planned paths over vertices 0..n_vertices-1:
+    the start 0, every property in some order, the final vertex last,
+    1-4 steps apart.  Yields (vertex indices, weights)."""
+    for _ in range(count):
+        path = [0, *rng.sample(range(1, n_vertices - 1), n_vertices - 2), n_vertices - 1]
+        yield path, [rng.randint(1, 4) for _ in path[1:]]
 
 
 class PhaseTrueSolver(Solver):

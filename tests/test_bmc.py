@@ -21,7 +21,7 @@ from chainforge.oracle import (int_const, pair_min_weights, random_model,
 from chainforge.sat import ExternalSolver, Solver, SolverLimit
 from chainforge.reachgraph import (ReachGraph, build_reach_graph, make_vertices,
                                    target_pairs)
-from conftest import BENCHES, PhaseTrueSolver, split_table_case
+from conftest import BENCHES, PhaseTrueSolver, random_paths, split_table_case
 
 
 @pytest.fixture(scope="module")
@@ -276,12 +276,13 @@ def test_failed_path_is_at_least_three_vertices(cruise_model, cruise_final,
 @pytest.mark.parametrize("states, failed", [
     ((None, 1, 3, None), (0, 2)),
     ((None, None, 1, 3), (1, 3)),
-    ((0, 2, None, None), (0, 2)),
+    ((0, 2, None, None), (0, 1)),
 ])
 def test_check_path_widens_a_narrow_core(states, failed):
     """On a 4-cycle two pins one step apart that are two states apart
-    form a two-vertex core; it widens to three vertices, to the left
-    unless it starts the path."""
+    form a two-vertex core; it widens to the left to three vertices, and
+    at the start of the path it stays two, since widening to the right
+    would take in an edge past the shortest infeasible prefix."""
     model = table_model("cyc", [[1], [2], [3], [0]])
     pins = [Pin(TRUE if s is None else state_eq(model, s)) for s in states]
     res = check_path(Unrolling(model), pins, [1, 1, 1])
@@ -307,19 +308,14 @@ def _brute_window(unr, pins, weights):
     per candidate: the shortest infeasible prefix ends at `hi`; `lo` is
     the last start at which `pins[lo..hi]` stays infeasible, the pins
     before it left free (true) so every pin keeps its offset; then
-    widened to three vertices."""
+    widened to the left to three vertices where `hi` leaves room."""
     n = len(pins)
     hi = next(h for h in range(n)
               if not path_feasible(unr, pins[:h + 1], weights[:h]))
     free = [Pin(TRUE)] * n
     lo = max(s for s in range(hi + 1)
              if not path_feasible(unr, free[:s] + pins[s:hi + 1], weights[:hi]))
-    while hi - lo < 2 and (lo > 0 or hi < n - 1):
-        if lo > 0:
-            lo -= 1
-        else:
-            hi += 1
-    return lo, hi
+    return max(0, min(lo, hi - 2)), hi
 
 
 def _split_table_paths():
@@ -327,10 +323,8 @@ def _split_table_paths():
     every property in some order, the final vertex, 1-4 steps apart."""
     model, props, init = split_table_case()
     vs = make_vertices(props, init, init)
-    rng = random.Random(4)
-    for _ in range(40):
-        path = [vs[0], *rng.sample(vs[1:-1], len(vs) - 2), vs[-1]]
-        yield model, [v.pin() for v in path], [rng.randint(1, 4) for _ in path[1:]]
+    for path, ws in random_paths(len(vs), random.Random(4), 40):
+        yield model, [vs[i].pin() for i in path], ws
 
 
 def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
@@ -732,6 +726,6 @@ def test_a_tape_reading_a_foreign_literal_is_refused(cruise_model):
     unr = Unrolling(cruise_model)
     unr.ensure(1)
     stray = unr.solver.new_var()
-    tape = [(unr.gates._and, (unr.gates.T, stray), unr.solver.new_var())]
+    tape = [(unr.gates._and_n, (unr.gates.T, stray), unr.solver.new_var())]
     with pytest.raises(BmcError, match="neither a frame literal"):
         bmc._compile(tape, unr._base_lits(1))

@@ -409,3 +409,27 @@ def test_replay_of_a_report_without_chains_is_a_mismatch(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().out == \
         "replay MISMATCH: no chain covers ['p1', 'p2', 'p3', 'p4']\n"
+
+
+def test_generate_starts_from_a_declared_init_predicate(tmp_path, capsys):
+    """A model whose `init` is a predicate, not one value per variable:
+    without `--init` the run starts from the declared initial states, as
+    with `--init "s <= 1"`, and its report replays."""
+    model, props = tmp_path / "pred.rsys", tmp_path / "pred.props"
+    model.write_text("model pred {\n  state s : 0..3;\n  input a : bool;\n  init s <= 1;\n"
+                     "  trans { s' = a ? (s == 3 ? 0 : s + 1) : s; }\n}\n")
+    props.write_text("property p3 { assume s == 3; assert true; }\n")
+    reports = []
+    for init in ([], ["--init", "s <= 1"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        assert run_cli("generate", str(model), str(props), *init,
+                       "--format", "json", "--output", str(out)) == 0
+        data = json.loads(out.read_text())
+        del data["stats"]["wall_time_s"]
+        reports.append(data)
+    assert reports[0] == reports[1]
+    assert reports[0]["chains"][0]["trace"][0] == {"s": 1}
+    capsys.readouterr()
+    assert run_cli("generate", str(model), str(props), "--replay",
+                   str(tmp_path / "report0.json")) == 0
+    assert capsys.readouterr().out.startswith("chain 1: replay ok")

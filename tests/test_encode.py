@@ -274,12 +274,14 @@ def test_chain_of_dead_arms_folds_to_its_default(monkeypatch):
     """Arms whose constants lie outside the selector's domain fold to
     false: with every arm dead the chain is its default literal, and
     with one arm live the default's condition is that arm's negation,
-    with no n-ary AND."""
+    with no n-ary AND (an `_and_n` of three or more literals)."""
     made = []
-    for maker in ("_and_n", "_case"):
-        orig = getattr(Gates, maker)
-        monkeypatch.setattr(Gates, maker,
-                            lambda self, *a, orig=orig, name=maker: made.append(name) or orig(self, *a))
+    for maker, arity in (("_and_n", 3), ("_case", 0)):
+        def counted(self, *a, orig=getattr(Gates, maker), name=maker, arity=arity):
+            if len(a) >= arity:
+                made.append(name)
+            return orig(self, *a)
+        monkeypatch.setattr(Gates, maker, counted)
     dom = IntRange(0, 3)
     x, p = Ref("x", "state", dom), Ref("p", "state", BOOL)
     s, g, enc = _setup({"x": dom, "p": BOOL})

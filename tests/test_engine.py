@@ -5,6 +5,7 @@ import time
 import pytest
 
 from chainforge import bmc, encode, engine
+from chainforge.bmc import Unrolling
 from chainforge.dsl import parse_properties, parse_state_set
 from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
                                generate_chain, partition_vertex_sets)
@@ -13,8 +14,10 @@ from chainforge.model import (Property, SortError, TRUE, disj, eval_expr, replay
 from chainforge.oracle import (oracle_min_chain, pair_min_weights,
                                random_model, reachability_diameter, state_eq,
                                table_model)
+from chainforge.reachgraph import ReachGraph, make_vertices
 from chainforge.sat import Solver
-from conftest import PhaseTrueSolver, split_table_case
+from conftest import (PhaseTrueSolver, eden_table_case, random_paths, split_table_case,
+                      table_family_case)
 
 
 def _check_chain(model, props, final_expr, chain):
@@ -125,29 +128,90 @@ def test_repair_stretch_depends_only_on_prefix_feasibility():
     assert sum(res.stats.abstract_weights) == res.total_length
 
 
-def test_repair_names_a_split_when_the_range_goes_through_unstretched():
+def test_repair_names_a_split_when_the_range_goes_through_unstretched(monkeypatch):
     """p0's trigger {7, 10} holds 7, which no state leads to.  From 7 the
     failed range p0, p1, p2 concretises at its weights (7 -> 3 -> 5), but
     the path reaches p0 only at 10, from where p2 is 3 steps further
     (10 -> 4 -> 8 -> 9 -> 5).  Repair stretches nothing, so it names the
     range's second vertex to split instead of returning the same failed
-    path to be checked again."""
-    from chainforge.bmc import Unrolling
+    path to be checked again; one `path_feasible` check of the whole
+    range at its weights tells it so."""
     from chainforge.engine import Stats, _repair
-    from chainforge.reachgraph import ReachGraph, make_vertices
-    table = [[1, 2], [10, 10], [0, 0], [5, 5], [8, 8], [0, 0], [0, 0], [3, 3],
-             [9, 9], [5, 5], [4, 4]]
-    m = table_model("eden", table)
-    props = [Property("pa", state_eq(m, 1), TRUE),
-             Property("p0", disj(state_eq(m, 10), state_eq(m, 7)), TRUE),
-             Property("p1", disj(state_eq(m, 3), state_eq(m, 4)), TRUE),
-             Property("p2", state_eq(m, 5), TRUE)]
-    i_expr = state_eq(m, 0)
+    m, props, i_expr = eden_table_case()
     g = ReachGraph(make_vertices(props, i_expr, i_expr), final_idx=5)
     vs, ws, stats = [0, 1, 2, 3, 4, 5], [1, 1, 1, 1, 1], Stats()
+    checks = []
+    monkeypatch.setattr(engine, "path_feasible",
+                        lambda *a: checks.append(a[2]) or bmc.path_feasible(*a))
     assert _repair(Unrolling(m), g, vs, ws, 2, 4, EngineConfig(k_max=12), stats) == 3
+    assert checks == [[1, 1]]
     assert ws == [1, 1, 1, 1, 1]
     assert stats.repair_increments == 0
+
+
+def _edge_by_edge_repair(unr, g, vs, ws, lo, hi, cfg, stats):
+    """Repair as it was before it stretched only the range's last edge:
+    edge j takes the fewest steps at which the range's prefix from
+    `vs[lo]` through `vs[j + 1]` concretises with the earlier edges at
+    their stretched weights; None when some edge stretched, j for a
+    dead-end edge j, else the range's second vertex."""
+    pins = [g.vertices[v].pin() for v in vs]
+    old = ws[lo:hi]
+    for j in range(lo, hi):
+        w = next((w for w in range(ws[j], cfg.k_max + 1)
+                  if bmc.path_feasible(unr, pins[lo:j + 2], ws[lo:j] + [w])), None)
+        if w is None:
+            return j
+        stats.repair_increments += w - ws[j]
+        ws[j] = w
+        if g.weights.get((vs[j], vs[j + 1]), -1) < w:
+            g.weights[(vs[j], vs[j + 1])] = w
+    return None if ws[lo:hi] != old else lo + 1
+
+
+def _failing_table_paths():
+    """Failed planned paths with their `check_path` windows: the path
+    through the eden table whose window goes through unstretched, and
+    seeded random paths over the split table and table-family models."""
+    eden, split = eden_table_case(), split_table_case()
+    cases = [((*eden, eden[2]), lambda n: [(list(range(n)), [1] * (n - 1))]),
+             ((*split, split[2]), lambda n: random_paths(n, random.Random(4), 40))]
+    cases += [(table_family_case(seed),
+               lambda n, seed=seed: random_paths(n, random.Random(seed), 6))
+              for seed in range(30)]
+    for (model, props, init, final), paths in cases:
+        vertices = make_vertices(props, init, final)
+        for vs, ws in paths(len(vertices)):
+            unr = Unrolling(model)
+            chk = bmc.check_path(unr, [vertices[v].pin() for v in vs], ws)
+            if not chk.feasible:
+                yield unr, vertices, vs, ws, chk.failed_lo, chk.failed_hi
+
+
+def test_last_edge_repair_matches_the_edge_by_edge_repair():
+    """After `check_path` names a failed window, stretching only its last
+    edge gives what stretching every edge of it in turn gives: the same
+    verdict, weights, graph weights and increments.  The prefix before
+    the window's end concretises, so no earlier edge ever stretched or
+    dead-ended.  Every verdict occurs."""
+    cfg = EngineConfig(k_max=12)
+    verdicts = []
+    for unr, vertices, vs, ws, lo, hi in _failing_table_paths():
+        assert 0 <= lo < hi and hi - lo >= min(2, hi)
+        runs = []
+        for repair in (engine._repair, _edge_by_edge_repair):
+            g = ReachGraph(list(vertices), final_idx=len(vertices) - 1)
+            g.weights = dict(zip(zip(vs, vs[1:]), ws))   # the planned edges
+            w, stats = list(ws), engine.Stats()
+            runs.append((repair(unr, g, vs, w, lo, hi, cfg, stats), w, g.weights,
+                         stats.repair_increments))
+        assert runs[0] == runs[1], (vs, ws, lo, hi)
+        pins = [vertices[v].pin() for v in vs[lo:hi + 1]]
+        verdicts.append("stretched" if runs[0][0] is None
+                        else "split" if bmc.path_feasible(unr, pins, ws[lo:hi])
+                        else "dead end")
+    counts = {v: verdicts.count(v) for v in ("stretched", "split", "dead end")}
+    assert counts["split"] >= 1 and counts["stretched"] >= 5 and counts["dead end"] >= 5, counts
 
 
 def test_unstretched_repair_splits_and_reaches_the_optimum():
