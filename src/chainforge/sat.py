@@ -53,19 +53,25 @@ class Solver:
     decision is `score.index(max(score))`, two C-level passes.  A solve on
     an unrolled model makes few decisions but assigns most of the formula,
     so keeping this list current costs less than putting variables back
-    into a heap on every backtrack.  Propagation stops watching a clause
-    once its first watched literal is true at level 0, as every retired
-    guard's clauses end up: it can never imply or conflict again.  The
-    clause stays in `clauses`."""
+    into a heap on every backtrack.
+
+    `watches[l]` and `reason[v]` hold the clause itself, a list whose
+    first two literals are its watched ones, not its position, so a watch
+    visit reads the literals directly.  `clauses` is the record of every
+    clause in the order added, learnt ones included, and the same list
+    objects, so it sees the watch swaps too.  Propagation stops watching
+    a clause once its first watched literal is true at level 0, as every
+    retired guard's clauses end up: it can never imply or conflict again.
+    The clause stays in `clauses`."""
 
     def __init__(self, conflict_budget: Optional[int] = None,
                  deadline: Optional[float] = None, verify_models: bool = False):
         self.nvars = 0
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
+        self.watches: dict[int, list[list[int]]] = {}
         self.assign: list[int] = [0]          # by literal: 0 unknown, ±1, ±2 at level 0
         self.level: list[int] = [0]
-        self.reason: list[Optional[int]] = [None]
+        self.reason: list[Optional[list[int]]] = [None]
         self.activity: list[float] = [0.0]
         self.score: list[float] = [-1.0]      # activity if unassigned, else -1.0
         self.phase: list[bool] = [False]
@@ -130,14 +136,13 @@ class Solver:
             elif self._propagate() is not None:
                 self.ok = False
             return
-        ci = len(self.clauses)
         self.clauses.append(out)
-        self.watches[out[0]].append(ci)
-        self.watches[out[1]].append(ci)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
 
     # -- trail ----------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
+    def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
         assign = self.assign
         val = assign[lit]
         if val:
@@ -169,11 +174,11 @@ class Solver:
         del trail_lim[lvl:]
         self.qhead = min(self.qhead, len(trail))
 
-    def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause index or None.
+    def _propagate(self) -> Optional[list[int]]:
+        """Unit propagation; returns a conflicting clause or None.
         `_enqueue` is inlined over local bindings.  A binary clause has
         no other literal to watch, and a ternary one has just `c[2]`."""
-        clauses, watches, trail = self.clauses, self.watches, self.trail
+        watches, trail = self.watches, self.trail
         assign, level, reason, score = self.assign, self.level, self.reason, self.score
         cur_level = len(self.trail_lim)
         true = 1 if cur_level else 2
@@ -182,31 +187,29 @@ class Solver:
             false_lit = -trail[qhead]
             qhead += 1
             watch = watches[false_lit]
-            i = j = 0
-            n = len(watch)
-            while i < n:
-                ci = watch[i]
-                i += 1
-                c = clauses[ci]
+            j = 0
+            # no clause is appended to `watch` while it is walked: a new
+            # watch is never false, and `false_lit` is
+            for c in watch:
                 # make sure c[1] is the false literal
                 first = c[0]
                 if first == false_lit:
                     first = c[0] = c[1]
                     c[1] = false_lit
                 val = assign[first]
-                if val > 0:
-                    if val == 1:
-                        watch[j] = ci
-                        j += 1
-                    # else: satisfied at level 0 for good; stop watching
+                if val == 1:
+                    watch[j] = c
+                    j += 1
                     continue
+                if val == 2:
+                    continue  # satisfied at level 0 for good; stop watching
                 size = len(c)
                 if size == 3:
                     q = c[2]
                     if assign[q] >= 0:
                         c[1] = q
                         c[2] = false_lit
-                        watches[q].append(ci)
+                        watches[q].append(c)
                         continue
                 elif size > 3:
                     for k in range(2, size):
@@ -214,22 +217,26 @@ class Solver:
                         if assign[q] >= 0:
                             c[1] = q
                             c[k] = false_lit
-                            watches[q].append(ci)
+                            watches[q].append(c)
                             break
                     if c[1] != false_lit:
                         continue  # moved to a new watch
-                watch[j] = ci
-                j += 1
                 if val:
-                    # conflict: keep remaining watches in place
+                    # conflict: keep c and the unvisited watches in place,
+                    # finding c's slot by identity, with no list compares
+                    i = j
+                    while watch[i] is not c:
+                        i += 1
                     del watch[j:i]
                     self.qhead = qhead
-                    return ci
+                    return c
+                watch[j] = c
+                j += 1
                 assign[first] = true
                 assign[-first] = -true
                 v = first if first > 0 else -first
                 level[v] = cur_level
-                reason[v] = ci
+                reason[v] = c
                 score[v] = -1.0
                 trail.append(first)
             del watch[j:]
@@ -254,7 +261,7 @@ class Solver:
                 score[i] = activity[i]
         self.var_inc *= 1e-100
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP learning.  `_bump` is inlined: every literal of a
         conflict or reason clause is assigned, so no score changes."""
         learnt = [0]
@@ -264,7 +271,7 @@ class Solver:
         lit = 0
         idx = len(trail) - 1
         cur_level = len(self.trail_lim)
-        reason_clause = self.clauses[confl]
+        reason_clause = confl
         while True:
             for q in reason_clause:
                 if q == lit:
@@ -290,7 +297,7 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason_clause = self.clauses[self.reason[v]]
+            reason_clause = self.reason[v]
         learnt[0] = -lit
         for q in learnt[1:]:
             seen[abs(q)] = False
@@ -320,7 +327,7 @@ class Solver:
                 if lit in assumption_set:
                     core.add(lit)
             else:
-                for q in self.clauses[self.reason[v]]:
+                for q in self.reason[v]:
                     if level[abs(q)] > 0:
                         seen[abs(q)] = True
             seen[v] = False
@@ -382,11 +389,10 @@ class Solver:
                         self.ok = False
                         return SolveResult(UNSAT, core=[])
                 else:
-                    ci = len(self.clauses)
                     self.clauses.append(learnt)
-                    self.watches[learnt[0]].append(ci)
-                    self.watches[learnt[1]].append(ci)
-                    self._enqueue(learnt[0], ci)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.var_inc /= 0.95
                 if conflicts_here >= restart_limit:
                     restart_idx += 1

@@ -267,6 +267,124 @@ def test_guarded_incremental_truth_table():
     assert pruned > 0
 
 
+def _check_watches_and_reasons(s):
+    """Watch lists and reasons hold the clauses of `s.clauses` themselves.
+    A clause not satisfied at level 0 sits once in the watch list of each
+    of its first two literals and in no other; one satisfied at level 0
+    may have been dropped from either.  Every reason is a clause of
+    `s.clauses`, and an assigned variable's reason starts with the
+    variable's literal, all its other literals false.  (A reason outlives
+    its assignment: backtracking does not clear it.)"""
+    by_id = {id(c): c for c in s.clauses}
+    watched: dict[int, list[int]] = {}
+    for lit, watch in s.watches.items():
+        for c in watch:
+            assert by_id.get(id(c)) is c, "a watch list holds a clause not in s.clauses"
+            watched.setdefault(id(c), []).append(lit)
+    for c in s.clauses:
+        lits = sorted(watched.get(id(c), []))
+        if any(s.assign[l] == 2 for l in c):
+            assert len(set(lits)) == len(lits) and set(lits) <= set(c[:2]), c
+        else:
+            assert lits == sorted(c[:2]), c
+    for v in range(1, s.nvars + 1):
+        r = s.reason[v]
+        if r is not None:
+            assert by_id.get(id(r)) is r, v
+    for lit in s.trail:
+        r = s.reason[abs(lit)]
+        if r is not None:
+            assert r[0] == lit and all(s.assign[q] < 0 for q in r[1:]), (lit, r)
+
+
+def _checked_propagate(s):
+    """Make every `_propagate` call of `s` check the invariant after it."""
+    propagate = s._propagate
+
+    def checked():
+        confl = propagate()
+        _check_watches_and_reasons(s)
+        assert confl is None or any(c is confl for c in s.clauses)
+        return confl
+    s._propagate = checked
+
+
+def _random_3cnf(rng, nvars, nclauses):
+    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
+            for _ in range(nclauses)]
+
+
+def test_watches_and_reasons_hold_the_clauses_themselves():
+    """Seeded guarded incremental solves, as in the truth-table test above,
+    on 3-CNF near the threshold, a third of the clauses added twice
+    (`add_clause` keeps both): the invariant holds after every
+    propagation and every solve."""
+    rng = random.Random(29)
+    conflicts = learnt = 0
+    for case in range(30):
+        nvars = rng.randint(12, 20)
+        s = Solver()
+        _checked_propagate(s)
+        _fill(s, nvars, _random_3cnf(rng, nvars, 2 * nvars))
+        for _ in range(rng.randint(2, 5)):
+            g = s.new_var()
+            for c in _random_3cnf(rng, nvars, rng.randint(2 * nvars, 3 * nvars)):
+                for _ in range(rng.choice((1, 1, 2))):
+                    s.add_clause([-g] + c)
+            added = len(s.clauses)
+            s.solve([g])
+            learnt += len(s.clauses) - added
+            _check_watches_and_reasons(s)
+            s.add_clause([-g])
+            s.solve()
+            _check_watches_and_reasons(s)
+        conflicts += s.stats_conflicts
+    assert conflicts > 300 and learnt > 300
+
+
+class _ComparedByIdentityOnly(list):
+    """A clause that fails the test as soon as it is compared by value."""
+
+    def __eq__(self, other):
+        raise AssertionError("a clause was compared by value")
+
+    __ne__ = __eq__
+
+
+def test_conflict_mid_list_beside_a_clause_of_equal_content():
+    """E and L have the same literals.  Deciding -1 walks watches[1]:
+    D1, D2 and E move to new watches, M1 and M2 imply -2 and -3 into
+    the first two slots, and L conflicts while the slots of E, M1 and M2
+    still lie between the compacted front and L.  Propagation drops those
+    three slots and keeps L itself in place.  The search for L's slot
+    passes E's, so E is swapped for a copy that fails when compared by
+    value, as `list.index` would.  (By then E reads [2, 3, 1] and L
+    [2, 1, 3].  A visited slot's clause has a true first literal or a
+    second one that is not false, and the conflicting clause has
+    neither, so equal content alone cannot show a value search.)"""
+    s = Solver()
+    for _ in range(7):
+        s.new_var()
+    d1, d2, e, m1, m2, l = [1, 4, 5], [1, 6, 7], [1, 2, 3], [1, -2], [1, -3], [1, 2, 3]
+    for c in (d1, d2, e, m1, m2, l):
+        s.add_clause(c)
+    e, l = s.clauses[2], s.clauses[5]
+    assert e == l and e is not l
+    s.clauses[2] = _ComparedByIdentityOnly(e)
+    for watch in s.watches.values():
+        watch[:] = [s.clauses[2] if c is e else c for c in watch]
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(-1, None)
+    confl = s._propagate()
+    assert confl is l
+    assert [id(c) for c in s.watches[1]] == [id(c) for c in s.clauses[3:6]]
+    assert s.reason[2] is s.clauses[3] and s.reason[3] is s.clauses[4]
+    _check_watches_and_reasons(s)
+    res = s.solve()
+    assert res.status == "sat" and res.model[1]
+    _check_watches_and_reasons(s)
+
+
 # -- DIMACS and the external process backend ---------------------------------
 
 def test_dimacs_round_trip():
