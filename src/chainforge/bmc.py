@@ -21,10 +21,10 @@ k-reach build when deeper queries from a source can find nothing (the
 recurrence diameter as a completeness threshold).  `check_path` is the
 one query for a planned path: it joins the witnesses of the path's edges
 when they meet in equal states (`join_witnesses`, no solve), else solves
-the path once, and on a failure names a range that follows from
-feasibility answers alone, so no result of the engine hangs on which
-unsat core the solver returns.  `path_feasible` asks only whether a path
-concretises.
+the path once, and on a failure names the end of its shortest infeasible
+prefix, which follows from feasibility answers alone, so no result of
+the engine hangs on which unsat core the solver returns.
+`path_feasible` asks only whether a path concretises.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class PathCheck:
     feasible: bool
     inputs: Optional[list[dict]] = None
     trace: Optional[list[dict]] = None
-    failed_lo: int = -1
-    failed_hi: int = -1
+    failed_at: int = -1     # the end of the shortest infeasible prefix
     joined: bool = False    # joined from k-reach witnesses, with no solve
 
 
@@ -376,51 +375,38 @@ def check_path(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> P
     Feasible: returns the input sequence (length = sum of weights) and
     trace, joined from the edges' k-reach witnesses with no solve when
     `join_witnesses` can (marked `joined`), else decoded from one solve.
-    Infeasible: returns a failed range that depends only on which vertex
-    sets are feasible at the path's offsets, not on the core the solver
-    returned: `hi` is the smallest index whose prefix `pins[0..hi]` is
-    infeasible, `lo` the largest index for which `pins[lo..hi]` still
-    is, widened to the left to at least three vertices where `hi` leaves
-    room.  `pins[0..hi-1]` is feasible at the path's offsets, so only the
-    range's last edge can need repair.
+    Infeasible: returns `failed_at`, the smallest index whose prefix
+    `pins[0..failed_at]` is infeasible at the path's offsets, which
+    depends only on which prefixes are feasible, not on the core the
+    solver returned.  `pins[0..failed_at-1]` is feasible, so only the
+    prefix's last edge can need repair.
 
-    The probes that find it reuse the path's tags.  Infeasibility is
-    monotone in both bounds, and the range of the path's core is
-    infeasible, so `hi` is at most its end.  Each infeasible probe of a
-    shorter prefix `pins[0..hi-1]` lowers `hi` to its core's largest
-    index, until a probe is feasible.  Then every core of an infeasible
-    range ending at `hi` holds `hi`, and each infeasible probe of
-    `pins[lo+1..hi]` raises `lo` to its core's smallest index, until a
-    probe is feasible.  Each probe moves a bound or ends its search, and
-    where the searches end depends only on the probes' verdicts.  A
-    backend without cores moves a bound by one vertex per probe."""
+    The probes that find it reuse the path's tags.  A prefix that holds
+    an infeasible core is infeasible, so the index is at most the core's
+    last vertex; each infeasible probe of a shorter prefix lowers it to
+    its own core's last vertex, until a probe is feasible.  A backend
+    without cores lowers it by one vertex per probe."""
     joined = join_witnesses(unr, pins, weights)
     if joined is not None:
         return joined
-    n = len(pins)
     with unr.scope() as fresh:
         tags = _tag_path(unr, pins, weights, fresh)
-        res, core = _probe(unr, tags, 0, n - 1)
+        res, core = _probe(unr, tags, 0, len(pins) - 1)
         if core is None:
             trace, inputs = unr.decode_run(res.model, sum(weights))
             return PathCheck(True, inputs=inputs, trace=trace)
-        lo, hi = min(core), max(core)
+        hi = max(core)
         while hi > 0:
             shorter = _probe(unr, tags, 0, hi - 1)[1]
             if shorter is None:
                 break
-            lo, hi = min(shorter), max(shorter)
-        while lo < hi:
-            inner = _probe(unr, tags, lo + 1, hi)[1]
-            if inner is None:
-                break
-            lo = min(inner)
-    return PathCheck(False, failed_lo=max(0, min(lo, hi - 2)), failed_hi=hi)
+            hi = max(shorter)
+    return PathCheck(False, failed_at=hi)
 
 
 def path_feasible(unr: Unrolling, pins: Sequence[Pin], weights: Sequence[int]) -> bool:
     """Does the path concretise?  `check_path`'s solve, with no witness
-    joined, no run decoded and no failed range named."""
+    joined, no run decoded and no failed prefix named."""
     with unr.scope() as fresh:
         tags = _tag_path(unr, pins, weights, fresh)
         return _probe(unr, tags, 0, len(tags) - 1)[1] is None

@@ -127,39 +127,37 @@ def _check_deadline(cfg: EngineConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _repair(unr: Unrolling, g: ReachGraph, vs: list[int], ws: list[int],
-            lo: int, hi: int, cfg: EngineConfig, stats: Stats) -> Optional[int]:
-    """Stretch the failed range's last edge j = hi - 1: it takes the
-    fewest steps, from its current weight up to `k_max`, at which the
-    whole range from `vs[lo]` to `vs[hi]` concretises with the earlier
-    edges at their weights.  `check_path` proved the prefix before
-    `vs[hi]` feasible at the path's offsets, so wherever every state of
-    the invariant has a successor in it, the range's earlier edges go
-    through at their weights and only the last one can need more steps.
+            hi: int, cfg: EngineConfig, stats: Stats) -> bool:
+    """Stretch the last edge j = hi - 1 of the failed window
+    `vs[hi-2..hi]` (`vs[0..1]` when hi is 1), the vertices that end the
+    shortest infeasible prefix `check_path` named: the edge takes the
+    fewest steps, from its weight up to `k_max`, at which the window
+    concretises, the edge before it at its weight.  Everything before
+    `vs[hi]` is feasible at the path's offsets, so only this edge can
+    need more steps.
 
-    Returns None when the edge stretched, so the path is worth checking
-    again.  Otherwise returns the position in `vs` of the vertex to
-    split: the edge's source when no weight works, or the range's second
-    vertex when the range concretises unstretched from some state of
-    `vs[lo]`, so it fails only from the states the path reaches `vs[lo]`
-    at.  A range of one vertex (no start state satisfies the first pin)
-    returns 0."""
+    Returns whether the edge stretched, so the path is worth checking
+    again.  It did not when no weight works, or when the window goes
+    through at its weights from some state of its first vertex, only
+    not from those the path reaches it at.  A window of two vertices is
+    the failed prefix itself, so it never goes through at its weights,
+    and a prefix of one vertex (no start state satisfies its pin) has
+    no edge."""
     _check_deadline(cfg)
     if hi == 0:
-        return 0
-    j = hi - 1
+        return False
+    lo, j = max(0, hi - 2), hi - 1
     pins = [g.vertices[v].pin() for v in vs[lo:hi + 1]]
     w = next((w for w in range(ws[j], cfg.k_max + 1)
-              if path_feasible(unr, pins, ws[lo:j] + [w])), None)
-    if w is None:
-        return j
+              if path_feasible(unr, pins, ws[lo:j] + [w])), ws[j])
     if w == ws[j]:
-        return lo + 1
+        return False
     stats.repair_increments += w - ws[j]
     ws[j] = w
     key = (vs[j], vs[hi])
     if g.weights.get(key, -1) < w:
         g.weights[key] = w
-    return None
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +332,12 @@ def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
                   cfg: EngineConfig, stats: Stats, rebuild=None) -> Optional[ChainResult]:
     """Plan, check, and escalate on failure: check the repaired path
     again; else rebuild the complete graph once, if a rebuild is pending;
-    else split the vertex repair names and plan again.  Each planned
-    path gets one `check_path`: joined from its edges' k-reach witnesses
-    with no solve where they join, else solved once, and a failed path
-    probed for its failed range, which, like the verdicts of repair's
+    else split `vs[hi-1]`, the second to last vertex of the shortest
+    infeasible prefix `vs[0..hi]`, between its neighbours and plan
+    again.  Each planned path gets one `check_path`: joined from its
+    edges' k-reach witnesses with no solve where they join, else solved
+    once, and a failed path probed for the end of its shortest
+    infeasible prefix, which, like the verdicts of repair's
     `path_feasible` checks, follows from feasibility answers alone and
     not from the solver's search.  None when no covering path exists or
     survives refinement."""
@@ -358,19 +358,18 @@ def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
         stats.joined_chains += chk.joined
         if chk.feasible:
             return _finish(unr, props, g, vs, ws, chk, stats)
+        hi = chk.failed_at
         if stats.first_failed_path is None:
             stats.first_failed_path = [g.vertices[v].name
-                                       for v in vs[chk.failed_lo:chk.failed_hi + 1]]
-        m = _repair(unr, g, vs, ws, chk.failed_lo, chk.failed_hi, cfg, stats)
-        if m is None:
+                                       for v in vs[max(0, hi - 2):hi + 1]]
+        if _repair(unr, g, vs, ws, hi, cfg, stats):
             continue
         if rebuild is not None:
             g, rebuild = rebuild(), None
-        elif (not 0 < m < len(vs) - 1 or g.vertices[vs[m]].kind != PROP
-              or splits >= MAX_SPLITS):
+        elif hi < 2 or g.vertices[vs[hi - 1]].kind != PROP or splits >= MAX_SPLITS:
             return None
         else:
-            refine(g, vs[m - 1], vs[m], vs[m + 1])
+            refine(g, vs[hi - 2], vs[hi - 1], vs[hi])
             splits += 1
             stats.refinement_splits += 1
         vs = None

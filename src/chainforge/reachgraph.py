@@ -74,12 +74,16 @@ class ReachGraph:
                 if self.vertices[m[0]].kind == PROP]
 
     def add_clone(self, of: int) -> Vertex:
-        orig = self.vertices[of]
-        copies = sum(1 for v in self.vertices if self.group_of[v.idx] == self.group_of[of])
+        """A copy of vertex `of` in its group: the group's original
+        vertex, whose pins every member shares, named with the copy's
+        member number (`p3#2`, `p3#3`, ...)."""
+        group = self.group_of[of]
+        orig = self.vertices[group]
+        copies = sum(1 for v in self.vertices if self.group_of[v.idx] == group)
         clone = Vertex(len(self.vertices), f"{orig.name}#{copies + 1}", PROP,
                        orig.phi, orig.psi)
         self.vertices.append(clone)
-        self.group_of[clone.idx] = self.group_of[of]
+        self.group_of[clone.idx] = group
         return clone
 
     def named_edges(self) -> list[tuple[str, str, int]]:

@@ -222,7 +222,7 @@ def test_check_path_broken_chain_failed_subpath(cruise_model, cruise_final,
     pins = [v.pin() for v in vs]
     res = check_path(unr, pins, [0, 1, 2])
     assert not res.feasible
-    assert (res.failed_lo, res.failed_hi) == (0, 2)   # <I, p1, p2>
+    assert res.failed_at == 2   # <I, p1, p2>
     # the failed subpath alone, at the same weights, is still infeasible
     sub = check_path(unr, pins[0:3], [0, 1])
     assert not sub.feasible
@@ -270,7 +270,7 @@ def test_failed_path_is_at_least_three_vertices(cruise_model, cruise_final,
     vs = make_vertices(broken_chain_props, cruise_final, cruise_final)
     pins = [v.pin() for v in vs]
     res = check_path(unr, pins, [0, 1, 2])
-    assert res.failed_hi - res.failed_lo >= 2
+    assert res.failed_at >= 2   # so the engine repairs three vertices, vs[hi-2..hi]
 
 
 @pytest.mark.parametrize("states, failed", [
@@ -280,42 +280,36 @@ def test_failed_path_is_at_least_three_vertices(cruise_model, cruise_final,
 ])
 def test_check_path_widens_a_narrow_core(states, failed):
     """On a 4-cycle two pins one step apart that are two states apart
-    form a two-vertex core; it widens to the left to three vertices, and
-    at the start of the path it stays two, since widening to the right
-    would take in an edge past the shortest infeasible prefix."""
+    form a two-vertex core, and the shortest infeasible prefix ends at
+    its second pin; the window the engine repairs, the three vertices
+    that end that prefix, widens the core to the left, and at the start
+    of the path it stays two, since widening to the right would take in
+    an edge past the shortest infeasible prefix."""
     model = table_model("cyc", [[1], [2], [3], [0]])
     pins = [Pin(TRUE if s is None else state_eq(model, s)) for s in states]
     res = check_path(Unrolling(model), pins, [1, 1, 1])
     assert not res.feasible
-    assert (res.failed_lo, res.failed_hi) == failed
+    assert (max(0, res.failed_at - 2), res.failed_at) == failed
 
 
 def test_check_path_names_the_canonical_window_without_a_core(cruise_model, cruise_final,
                                                               broken_chain_props):
-    """The external backend gives no unsat core, so its probes move the
-    window's bounds one vertex at a time, and it names the same failed
-    range as the embedded solver: <I, p1, p2>."""
+    """The external backend gives no unsat core, so its probes shorten
+    the failed prefix one vertex at a time, and it names the same end of
+    the shortest infeasible prefix as the embedded solver: <I, p1, p2>."""
     stub = Path(__file__).parent / "external_stub.py"
     pins = [v.pin() for v in make_vertices(broken_chain_props, cruise_final, cruise_final)]
     for solver in (ExternalSolver(f"{sys.executable} {stub}"), Solver()):
         res = check_path(Unrolling(cruise_model, solver), pins, [0, 1, 2])
         assert not res.feasible
-        assert (res.failed_lo, res.failed_hi) == (0, 2)
+        assert res.failed_at == 2
 
 
 def _brute_window(unr, pins, weights):
-    """The canonical failed range by its definition, one `path_feasible`
-    per candidate: the shortest infeasible prefix ends at `hi`; `lo` is
-    the last start at which `pins[lo..hi]` stays infeasible, the pins
-    before it left free (true) so every pin keeps its offset; then
-    widened to the left to three vertices where `hi` leaves room."""
-    n = len(pins)
-    hi = next(h for h in range(n)
-              if not path_feasible(unr, pins[:h + 1], weights[:h]))
-    free = [Pin(TRUE)] * n
-    lo = max(s for s in range(hi + 1)
-             if not path_feasible(unr, free[:s] + pins[s:hi + 1], weights[:hi]))
-    return max(0, min(lo, hi - 2)), hi
+    """The end of the shortest infeasible prefix by its definition, one
+    `path_feasible` per candidate prefix."""
+    return next(h for h in range(len(pins))
+                if not path_feasible(unr, pins[:h + 1], weights[:h]))
 
 
 def _split_table_paths():
@@ -330,9 +324,9 @@ def _split_table_paths():
 def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
                                                     broken_chain_props):
     """On the cruise broken chain and on failing paths of the split
-    table, `check_path` names the range found by brute force,
-    under the default search and under one that starts every variable
-    at phase True (whose cores differ)."""
+    table, `check_path` names the end of the shortest infeasible prefix
+    found by brute force, under the default search and under one that
+    starts every variable at phase True (whose cores differ)."""
     pins = [v.pin() for v in make_vertices(broken_chain_props, cruise_final, cruise_final)]
     cases = [(cruise_model, pins, [0, 1, 2]), *_split_table_paths()]
     failing = narrowed = 0
@@ -343,16 +337,16 @@ def test_canonical_window_is_the_brute_force_window(cruise_model, cruise_final,
             chk = check_path(Unrolling(model, solver), pins, ws)
             assert chk.feasible == (want is None)
             if want is not None:
-                assert (chk.failed_lo, chk.failed_hi) == want, (pins, ws)
+                assert chk.failed_at == want, (pins, ws)
         failing += want is not None
-        narrowed += want is not None and want != (0, len(pins) - 1)
+        narrowed += want is not None and want < len(pins) - 1
     assert failing >= 30 and narrowed >= 30
 
 
 def test_canonical_window_costs_no_solve_on_a_feasible_path(cruise_model, cruise_props,
                                                            cruise_final):
     """A feasible path that does not join costs `check_path` its one path
-    solve: the window probes run only when that solve fails."""
+    solve: the prefix probes run only when that solve fails."""
     unr = Unrolling(cruise_model)
     by_name = {v.name: v for v in make_vertices(cruise_props, cruise_final, cruise_final)}
     pins = [by_name[n].pin() for n in ["I", "p4", "p1", "p2", "p3", "F"]]

@@ -113,10 +113,11 @@ def test_repair_retries_another_arrival_state():
 
 
 def test_repair_stretch_depends_only_on_prefix_feasibility():
-    """Workload instance multi-2-38: repair stretches each edge to the
-    fewest steps at which the prefix of the failed range concretises, so
-    the chain is 21 steps (a repair anchored at whichever state the
-    solver's model reached gave 22)."""
+    """Workload instance multi-2-38: repair stretches the failed
+    window's last edge to the fewest steps at which the window
+    concretises, and refinement splits the window's middle vertex, so
+    the chain is 14 steps against the oracle's 11, whichever run the
+    solver returns."""
     from chainforge.oracle import random_model
     gen = random_model(1914563131, n_states=14, n_props=6, multi_state=True)
     res = generate_chain(gen.model, gen.props, gen.init_expr, gen.final_expr,
@@ -124,55 +125,85 @@ def test_repair_stretch_depends_only_on_prefix_feasibility():
     assert res.chains, res.reason
     assert len(res.chains) == 1
     _check_chain(gen.model, gen.props, gen.final_expr, res.chains[0])
-    assert res.total_length == 21
+    assert res.total_length == 14
     assert sum(res.stats.abstract_weights) == res.total_length
+
+
+def _multi_1_31():
+    """Workload instance multi-1-31 as a generated model."""
+    return random_model(1001090105, n_states=16, n_props=5, multi_state=True)
+
+
+def test_split_on_the_failed_prefix_reaches_the_optimum():
+    """Workload instance multi-1-31: splitting the second to last vertex
+    of the shortest infeasible prefix, the last vertex of the longest
+    feasible one, gives the optimal 13-step chain."""
+    gen = _multi_1_31()
+    res = generate_chain(gen.model, gen.props, gen.init_expr, gen.final_expr,
+                         EngineConfig(k_max=60))
+    assert len(res.chains) == 1, res.reason
+    _check_chain(gen.model, gen.props, gen.final_expr, res.chains[0])
+    assert res.total_length == 13 == oracle_min_chain(
+        gen.model, gen.props, gen.init_expr, gen.final_expr)
 
 
 def test_repair_names_a_split_when_the_range_goes_through_unstretched(monkeypatch):
     """p0's trigger {7, 10} holds 7, which no state leads to.  From 7 the
-    failed range p0, p1, p2 concretises at its weights (7 -> 3 -> 5), but
-    the path reaches p0 only at 10, from where p2 is 3 steps further
-    (10 -> 4 -> 8 -> 9 -> 5).  Repair stretches nothing, so it names the
-    range's second vertex to split instead of returning the same failed
-    path to be checked again; one `path_feasible` check of the whole
-    range at its weights tells it so."""
-    from chainforge.engine import Stats, _repair
+    failed window p0, p1, p2 concretises at its weights (7 -> 3 -> 5),
+    but the path reaches p0 only at 10, from where p2 is 3 steps further
+    (10 -> 4 -> 8 -> 9 -> 5).  Repair stretches nothing, so the window's
+    middle vertex p1 is split instead of the same failed path being
+    checked again; one `path_feasible` check of the whole window at its
+    weights tells repair so."""
+    from chainforge.engine import Stats, _repair, _single_chain
     m, props, i_expr = eden_table_case()
-    g = ReachGraph(make_vertices(props, i_expr, i_expr), final_idx=5)
+    vertices = make_vertices(props, i_expr, i_expr)
+    g = ReachGraph(list(vertices), final_idx=5)
     vs, ws, stats = [0, 1, 2, 3, 4, 5], [1, 1, 1, 1, 1], Stats()
+    assert bmc.check_path(Unrolling(m), [v.pin() for v in vertices], ws).failed_at == 4
     checks = []
     monkeypatch.setattr(engine, "path_feasible",
                         lambda *a: checks.append(a[2]) or bmc.path_feasible(*a))
-    assert _repair(Unrolling(m), g, vs, ws, 2, 4, EngineConfig(k_max=12), stats) == 3
+    assert _repair(Unrolling(m), g, vs, ws, 4, EngineConfig(k_max=12), stats) is False
     assert checks == [[1, 1]]
     assert ws == [1, 1, 1, 1, 1]
     assert stats.repair_increments == 0
+    # planned on the path's own edges, the engine splits p1 between p0 and p2
+    splits = []
+    refine = engine.refine
+    monkeypatch.setattr(engine, "refine",
+                        lambda *a: splits.append(a[1:]) or refine(*a))
+    g.weights = dict(zip(zip(vs, vs[1:]), ws))
+    _single_chain(Unrolling(m), props, g, EngineConfig(k_max=12), Stats())
+    assert splits == [(2, 3, 4)]
 
 
-def _edge_by_edge_repair(unr, g, vs, ws, lo, hi, cfg, stats):
-    """Repair as it was before it stretched only the range's last edge:
-    edge j takes the fewest steps at which the range's prefix from
-    `vs[lo]` through `vs[j + 1]` concretises with the earlier edges at
-    their stretched weights; None when some edge stretched, j for a
-    dead-end edge j, else the range's second vertex."""
+def _edge_by_edge_repair(unr, g, vs, ws, hi, cfg, stats):
+    """Repair as it was before it stretched only the window's last edge,
+    on the window `vs[max(0, hi-2)..hi]`: edge j takes the fewest steps
+    at which the window's prefix through `vs[j + 1]` concretises with
+    the earlier edges at their stretched weights; whether some edge
+    stretched, and False at a dead-end edge."""
     pins = [g.vertices[v].pin() for v in vs]
+    lo = max(0, hi - 2)
     old = ws[lo:hi]
     for j in range(lo, hi):
         w = next((w for w in range(ws[j], cfg.k_max + 1)
                   if bmc.path_feasible(unr, pins[lo:j + 2], ws[lo:j] + [w])), None)
         if w is None:
-            return j
+            return False
         stats.repair_increments += w - ws[j]
         ws[j] = w
         if g.weights.get((vs[j], vs[j + 1]), -1) < w:
             g.weights[(vs[j], vs[j + 1])] = w
-    return None if ws[lo:hi] != old else lo + 1
+    return ws[lo:hi] != old
 
 
 def _failing_table_paths():
-    """Failed planned paths with their `check_path` windows: the path
-    through the eden table whose window goes through unstretched, and
-    seeded random paths over the split table and table-family models."""
+    """Failed planned paths with the end of their shortest infeasible
+    prefix: the path through the eden table whose window goes through
+    unstretched, and seeded random paths over the split table and
+    table-family models."""
     eden, split = eden_table_case(), split_table_case()
     cases = [((*eden, eden[2]), lambda n: [(list(range(n)), [1] * (n - 1))]),
              ((*split, split[2]), lambda n: random_paths(n, random.Random(4), 40))]
@@ -185,29 +216,31 @@ def _failing_table_paths():
             unr = Unrolling(model)
             chk = bmc.check_path(unr, [vertices[v].pin() for v in vs], ws)
             if not chk.feasible:
-                yield unr, vertices, vs, ws, chk.failed_lo, chk.failed_hi
+                yield unr, vertices, vs, ws, chk.failed_at
 
 
 def test_last_edge_repair_matches_the_edge_by_edge_repair():
-    """After `check_path` names a failed window, stretching only its last
-    edge gives what stretching every edge of it in turn gives: the same
-    verdict, weights, graph weights and increments.  The prefix before
-    the window's end concretises, so no earlier edge ever stretched or
-    dead-ended.  Every verdict occurs."""
+    """After `check_path` names the end of the shortest infeasible
+    prefix, stretching only the last edge of the window that ends it
+    gives what stretching every edge of the window in turn gives: the
+    same verdict, weights, graph weights and increments.  The prefix
+    before the window's end concretises, so no earlier edge ever
+    stretched or dead-ended.  Every verdict occurs."""
     cfg = EngineConfig(k_max=12)
     verdicts = []
-    for unr, vertices, vs, ws, lo, hi in _failing_table_paths():
-        assert 0 <= lo < hi and hi - lo >= min(2, hi)
+    for unr, vertices, vs, ws, hi in _failing_table_paths():
+        assert 0 <= hi < len(vs)
+        lo = max(0, hi - 2)
         runs = []
         for repair in (engine._repair, _edge_by_edge_repair):
             g = ReachGraph(list(vertices), final_idx=len(vertices) - 1)
             g.weights = dict(zip(zip(vs, vs[1:]), ws))   # the planned edges
             w, stats = list(ws), engine.Stats()
-            runs.append((repair(unr, g, vs, w, lo, hi, cfg, stats), w, g.weights,
+            runs.append((repair(unr, g, vs, w, hi, cfg, stats), w, g.weights,
                          stats.repair_increments))
-        assert runs[0] == runs[1], (vs, ws, lo, hi)
+        assert runs[0] == runs[1], (vs, ws, hi)
         pins = [vertices[v].pin() for v in vs[lo:hi + 1]]
-        verdicts.append("stretched" if runs[0][0] is None
+        verdicts.append("stretched" if runs[0][0]
                         else "split" if bmc.path_feasible(unr, pins, ws[lo:hi])
                         else "dead end")
     counts = {v: verdicts.count(v) for v in ("stretched", "split", "dead end")}
@@ -215,8 +248,8 @@ def test_last_edge_repair_matches_the_edge_by_edge_repair():
 
 
 def test_unstretched_repair_splits_and_reaches_the_optimum():
-    """A random table model on which the failed range goes through
-    unstretched; splitting its second vertex gives the optimal chain."""
+    """A random table model on which the failed window goes through
+    unstretched; splitting its middle vertex gives the optimal chain."""
     table = [[1, 4], [9, 12], [7, 10], [14, 5], [16, 9], [3, 4], [17, 13],
              [3, 10], [16, 7], [16, 8], [5, 5], [14, 7], [12, 11], [4, 14],
              [14, 0], [12, 5], [12, 16], [1, 15]]
@@ -240,6 +273,8 @@ def _search_independence_cases():
     for seed in (23, 29, 34, 1, 6):
         gen = random_model(seed, n_states=12, n_inputs=2, n_props=4, multi_state=True)
         yield seed, gen.model, gen.props, gen.init_expr, gen.final_expr, 20
+    gen = _multi_1_31()
+    yield "multi-1-31", gen.model, gen.props, gen.init_expr, gen.final_expr, 60
 
 
 @pytest.mark.parametrize("case", list(_search_independence_cases()),

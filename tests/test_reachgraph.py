@@ -178,3 +178,16 @@ def test_dot_keeps_a_property_named_like_the_start_vertex_apart(
     assert '  0 -> 4 [label="2"];' in lines
     edges = [l.split()[:3] for l in lines if "->" in l]
     assert edges and all(a != b for a, _, b in edges)
+
+
+def test_a_split_clone_is_named_after_its_group():
+    """Splitting a clone names the new vertex after the group's original
+    vertex with its member number (p1#3, not p1#2#3), in the graph and
+    in its DOT export."""
+    g = graph_from_edges(4, {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)})
+    first = refine(g, 0, 1, 2)
+    second = refine(g, 0, first, 3)
+    assert [g.vertices[v].name for v in (first, second)] == ["p1#2", "p1#3"]
+    assert g.group_of[first] == g.group_of[second] == 1
+    assert g.group_members()[1] == [1, first, second]
+    assert f'  {second} [label="p1#3", shape=circle];' in g.to_dot()
