@@ -121,9 +121,13 @@ class Unrolling:
         its own base literals.  Base literals are distinct fresh variables
         at every frame and T stays T, and distinct cache keys give
         distinct variables, so every folding decision the encoder made
-        for frame 1 holds at frame k: the replay writes the clauses
-        encoding frame k would, in the same order, and reuses a gate
-        another query already cached exactly as the encoder would."""
+        for frame 1 holds at frame k.  Each maker computes its own cache
+        key from the arguments the tape holds as given, so an iff whose
+        operands' variable order differs from frame 1's (one of them a
+        gate another query cached earlier) is keyed as encoding frame k
+        would key it.  So the replay writes the clauses encoding frame k
+        would, in the same order, and reuses a gate another query
+        already cached exactly as the encoder would."""
         if self._program is not None:
             self._replay(k)
             return

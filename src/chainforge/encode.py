@@ -52,10 +52,12 @@ class Gates:
     """Tseitin gate builder over a solver exposing new_var/add_clause.
 
     `land`, `land_n`, `lite`, `liff` and `lcase` fold constants and
-    identities, then call one maker (`_and_n`, `_ite`, `_iff`, `_case`)
-    that normalises the cache key and, on a miss, allocates the gate and
-    writes its clauses in argument order.  A maker always takes two or
-    more literals, so a replayed tape step reads a tuple.  While `tape`
+    identities, then call one of two makers: `_and_n` for a conjunction,
+    `_case` for a gate of arms "q implies out == v" (an if-then-else is
+    the arms `(c, t, -c, e)`, an iff `(a, b, -a, -b)`).  A maker
+    normalises its own cache key and, on a miss, allocates the gate and
+    writes its clauses in key order.  A maker always takes two or more
+    literals, so a replayed tape step reads a tuple.  While `tape`
     is a list, every maker call and every `assert_iff` appends `(maker,
     args, output)` to it (output None for `assert_iff`), so the same
     circuit can be rebuilt over other literals by calling the makers
@@ -82,13 +84,7 @@ class Gates:
         return lit == -self.T
 
     def land(self, a: int, b: int) -> int:
-        if self.is_false(a) or self.is_false(b) or a == -b:
-            return -self.T
-        if self.is_true(a):
-            return b
-        if self.is_true(b) or a == b:
-            return a
-        return self._and_n(a, b)
+        return self.land_n((a, b))
 
     def lor(self, a: int, b: int) -> int:
         return -self.land(-a, -b)
@@ -137,21 +133,7 @@ class Gates:
             return self.land(c, t)
         if t == -e:
             return self.liff(c, t)
-        return self._ite(c, t, e)
-
-    def _ite(self, c: int, t: int, e: int) -> int:
-        key = ("?", c, t, e)
-        g = self._cache.get(key)
-        if g is None:
-            g = self.solver.new_var()
-            self.solver.add_clause([-g, -c, t])
-            self.solver.add_clause([-g, c, e])
-            self.solver.add_clause([g, -c, -t])
-            self.solver.add_clause([g, c, -e])
-            self._cache[key] = g
-        if self.tape is not None:
-            self.tape.append((self._ite, (c, t, e), g))
-        return g
+        return self._case(c, t, -c, e)
 
     def liff(self, a: int, b: int) -> int:
         if self.is_true(a):
@@ -166,24 +148,7 @@ class Gates:
             return self.T
         if a == -b:
             return -self.T
-        return self._iff(a, b)
-
-    def _iff(self, a: int, b: int) -> int:
-        x, y = (a, b) if abs(a) <= abs(b) else (b, a)
-        if x < 0:
-            x, y = -x, -y
-        key = ("=", x, y)
-        g = self._cache.get(key)
-        if g is None:
-            g = self.solver.new_var()
-            self.solver.add_clause([-g, -x, y])
-            self.solver.add_clause([-g, x, -y])
-            self.solver.add_clause([g, -x, -y])
-            self.solver.add_clause([g, x, y])
-            self._cache[key] = g
-        if self.tape is not None:
-            self.tape.append((self._iff, (a, b), g))
-        return g
+        return self._case(a, b, -a, -b)
 
     def lxor(self, a: int, b: int) -> int:
         return -self.liff(a, b)
@@ -200,19 +165,28 @@ class Gates:
         return self._case(*(lit for arm in live for lit in arm))
 
     def _case(self, *arms: int) -> int:
-        """`arms` is q1, v1, q2, v2, ...: per arm, q implies out == v."""
-        key = ("|?", *arms)
+        """`arms` is q1, v1, q2, v2, ...: per arm, q implies out == v.
+        The clauses are `[-g, -q, v]` for every arm, then `[g, -q, -v]`
+        for every arm; a constant v is left to the solver, which drops a
+        false literal and skips a satisfied clause.  The iff shape `(x,
+        y, -x, -y)` is keyed with x the literal of the smaller variable,
+        made positive, so `liff(a, b)`, `liff(b, a)` and `liff(-a, -b)`
+        share one gate, on a replayed frame as on a fresh one."""
+        if len(arms) == 4 and arms[2] == -arms[0] and arms[3] == -arms[1]:
+            x, y = arms[:2] if abs(arms[0]) <= abs(arms[1]) else arms[1::-1]
+            if x < 0:
+                x, y = -x, -y
+            key = ("?", x, y, -x, -y)
+        else:
+            key = ("?", *arms)
         g = self._cache.get(key)
         if g is None:
             g = self.solver.new_var()
-            for q, v in zip(arms[::2], arms[1::2]):
-                if self.is_true(v):
-                    self.solver.add_clause([-q, g])
-                elif self.is_false(v):
-                    self.solver.add_clause([-q, -g])
-                else:
-                    self.solver.add_clause([-q, -v, g])
-                    self.solver.add_clause([-q, v, -g])
+            pairs = tuple(zip(key[1::2], key[2::2]))
+            for q, v in pairs:
+                self.solver.add_clause([-g, -q, v])
+            for q, v in pairs:
+                self.solver.add_clause([g, -q, -v])
             self._cache[key] = g
         if self.tape is not None:
             self.tape.append((self._case, arms, g))

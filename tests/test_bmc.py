@@ -623,6 +623,9 @@ def _identity_case(which):
     if which == "dead-arms":
         model, _ = parse_model(DEAD_ARMS_MODEL)
         return model, _trig(model, "y == 2 && a == 0")
+    if which == "iff-order":
+        model, _ = parse_model(IFF_ORDER_MODEL)
+        return model, _trig(model, "q && t")
     if which == "ladder":
         gen = random_model(31, n_states=16, n_inputs=3, n_props=5)
     else:
@@ -641,7 +644,19 @@ DEAD_ARMS_MODEL = """model dead {
   }
 }"""
 
-CASES = ("cruise1", "cruise2", "keep", "random-multi", "ladder", "dead-arms")
+# the trigger caches `q && t` at the horizon, so at the next frame that
+# iff operand's gate has a smaller variable than `p && r`'s, and the
+# operands' variable order is the reverse of frame 1's
+IFF_ORDER_MODEL = """model ifforder {
+  state p: bool init false;
+  state q: bool init false;
+  input r: bool;
+  input t: bool;
+  trans { p' = (p && r) == (q && t); }
+}"""
+
+CASES = ("cruise1", "cruise2", "keep", "random-multi", "ladder", "dead-arms",
+         "iff-order")
 
 
 @pytest.mark.parametrize("which", CASES)

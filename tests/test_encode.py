@@ -50,6 +50,21 @@ def test_all_domain_values_representable():
         assert decode_var(enc["x"], res.model, dom) == v
 
 
+def test_one_gate_under_another_argument_order_is_shared():
+    """Each group names one gate: an iff under swapped or both-negated
+    operands, an if-then-else with opposite branches and the iff it is,
+    a conjunction in any order with repeats.  Each gives one literal and
+    adds one variable."""
+    s, g, enc = _setup({"a": BOOL, "b": BOOL, "c": BOOL, "t": BOOL})
+    a, b, c, t = (enc[n] for n in "abct")
+    for group in ([lambda: g.liff(a, b), lambda: g.liff(b, a), lambda: g.liff(-a, -b)],
+                  [lambda: g.lite(c, t, -t), lambda: g.liff(c, t)],
+                  [lambda: g.land(a, b), lambda: g.land_n([b, a, b])]):
+        before = s.nvars
+        assert len({make() for make in group}) == 1
+        assert s.nvars == before + 1
+
+
 def _random_expr(rng, vars_table, depth, want):
     """Random well-sorted expression over the given variables."""
     ints = [(n, d) for n, d in vars_table.items() if isinstance(d, IntRange)]
@@ -234,11 +249,11 @@ def test_case_split_agrees_with_interpreter_on_random_chains(monkeypatch):
     bound, constants outside the domain, repeats), enum, input and
     next-state selectors, with int, bool and enum arms: for every total
     assignment of the variables a chain reads, the encoding holds the
-    interpreter's value and no other.  Chains of three or more arms
-    reach the case maker."""
+    interpreter's value and no other.  Chains of three or more arms,
+    and only they, reach the case split's entry point `lcase`."""
     made = []
-    case = Gates._case
-    monkeypatch.setattr(Gates, "_case", lambda self, *a: made.append(a) or case(self, *a))
+    case = Gates.lcase
+    monkeypatch.setattr(Gates, "lcase", lambda self, arms: made.append(arms) or case(self, arms))
     rng = random.Random(25)
     reached = long_chains = 0
     for n in range(300):
