@@ -337,6 +337,9 @@ def simple_run_exists(unr: Unrolling, src: Pin, m: int) -> bool:
     state, so a shortest witness of any pair from `src` has distinct
     states after step 0.  When the answer is no, every pair from `src`
     without a witness of at most m - 1 steps has none at any depth.
+    The range-blocking clauses keep every encoded state inside the
+    declared domains, so for m above their product
+    (`Model.state_space_size`) the answer is no, with no solve.
 
     Each pair of steps gets one difference bit per state bit, which
     implies the two bits differ; under a guard, some difference bit of
@@ -349,6 +352,9 @@ def simple_run_exists(unr: Unrolling, src: Pin, m: int) -> bool:
     if m <= known:
         return True
     if m >= refuted:
+        return False
+    if m > unr.model.state_space_size():
+        unr.simple_runs[sid] = (known, m)
         return False
     unr.ensure(m)
     with unr.scope() as fresh:

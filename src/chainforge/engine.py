@@ -28,7 +28,8 @@ FAILED = "failed"
 
 #: Why a property set or a partition class has no single chain, and
 #: partitioning has nothing to split (it is disabled, there is one
-#: property, or no pair conflicts).
+#: property, or no pair conflicts).  A search that stopped at one of the
+#: limits below proved no such thing, and its reason names the limit.
 NO_SINGLE_CHAIN = "no single chain covers the property set"
 
 #: Fixed limits of the concretisation loop: vertex splits per chain and
@@ -265,7 +266,7 @@ def _generate(unr: Unrolling, props: list[Property], init_expr: Expr,
         stats.k_reached = max(stats.k_reached, out.graph.k_stop)
         return out
 
-    def chain(ps: list[Property]) -> tuple[Optional[ChainResult], BuildOutcome]:
+    def chain(ps: list[Property]) -> tuple[ChainResult | str, BuildOutcome]:
         out = build(ps, cfg.exhaust_k)
         # refinement needs the full pairwise picture, not just the edges
         # found before the first covering path appeared
@@ -279,20 +280,22 @@ def _generate(unr: Unrolling, props: list[Property], init_expr: Expr,
         return f"no chain found for given bound {cfg.k_max}{detail}"
 
     single, out = chain(props)
-    if single is not None:
+    if isinstance(single, ChainResult):
         return single
-    g, reason, classes = out.graph, NO_SINGLE_CHAIN, []
+    g, reason, classes = out.graph, single, []
     if cfg.allow_partition and len(props) > 1:
         # the partition needs the complete pairwise picture up to the bound
         g = build(props, True).graph
-        reason, classes = _partition(g)
+        found, classes = _partition(g)
         stats.partitions = len(classes)
+        if found != NO_SINGLE_CHAIN:
+            reason = found
     chains: list[TestChain] = []
     for names in classes:
         res, sub_out = chain([p for p in props if p.name in names])
-        if res is None:
+        if not isinstance(res, ChainResult):
             reason = (f"partition class {sorted(names)} failed: "
-                      f"{bounded(NO_SINGLE_CHAIN, sub_out)}")
+                      f"{bounded(res, sub_out)}")
             break
         chains.extend(res.chains)
     if not reason:
@@ -329,7 +332,7 @@ def _partition(g: ReachGraph) -> tuple[str, list[set[str]]]:
 
 
 def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
-                  cfg: EngineConfig, stats: Stats, rebuild=None) -> Optional[ChainResult]:
+                  cfg: EngineConfig, stats: Stats, rebuild=None) -> ChainResult | str:
     """Plan, check, and escalate on failure: check the repaired path
     again; else rebuild the complete graph once, if a rebuild is pending;
     else split `vs[hi-1]`, the second to last vertex of the shortest
@@ -339,8 +342,9 @@ def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
     once, and a failed path probed for the end of its shortest
     infeasible prefix, which, like the verdicts of repair's
     `path_feasible` checks, follows from feasibility answers alone and
-    not from the solver's search.  None when no covering path exists or
-    survives refinement."""
+    not from the solver's search.  When no chain is found, the reason:
+    NO_SINGLE_CHAIN when no covering path exists or none is left to
+    split, else the limit the search stopped at."""
     vs: Optional[list[int]] = None
     splits = 0
     for _round in range(MAX_ROUNDS):
@@ -348,7 +352,7 @@ def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
         if vs is None:
             planned = _plan(g, stats)
             if planned is None:
-                return None
+                return NO_SINGLE_CHAIN
             vs, ws = planned
             if stats.initial_abstract_path is None:
                 stats.initial_abstract_path = [g.vertices[v].name for v in vs]
@@ -366,14 +370,16 @@ def _single_chain(unr: Unrolling, props: list[Property], g: ReachGraph,
             continue
         if rebuild is not None:
             g, rebuild = rebuild(), None
-        elif hi < 2 or g.vertices[vs[hi - 1]].kind != PROP or splits >= MAX_SPLITS:
-            return None
+        elif hi < 2 or g.vertices[vs[hi - 1]].kind != PROP:
+            return NO_SINGLE_CHAIN
+        elif splits >= MAX_SPLITS:
+            return f"no single chain found within {MAX_SPLITS} refinement splits"
         else:
             refine(g, vs[hi - 2], vs[hi - 1], vs[hi])
             splits += 1
             stats.refinement_splits += 1
         vs = None
-    return None
+    return f"no single chain found within {MAX_ROUNDS} check/repair rounds"
 
 
 def _plan(g: ReachGraph, stats: Stats):

@@ -462,34 +462,29 @@ def read_dimacs(text: str) -> tuple[int, list[list[int]]]:
     return nvars, clauses
 
 
-class ExternalSolver:
+class ExternalSolver(Solver):
     """Backend that round-trips DIMACS files through an external solver
     process (minisat-style interface: `solver in.cnf out`), one launch per
-    solve, so any stock solver can be substituted.  Assumptions become
-    unit clauses, and an UNSAT verdict carries no core (`core` is None).
-    Only the deadline bounds it; it has no conflict budget.  The process
-    reports no search counts, so `stats_conflicts` and `stats_decisions`
-    are None (not counted) rather than 0."""
+    solve, so any stock solver can be substituted.  The clauses are kept
+    and folded at level 0 as the embedded solver keeps them, so both
+    backends see one clause stream; a solve sends the stored clauses, one
+    unit clause per literal fixed at level 0, and one per assumption.  An
+    UNSAT verdict carries no core (`core` is None).  Only the deadline
+    bounds it; it has no conflict budget.  The process reports no search
+    counts, so `stats_conflicts` and `stats_decisions` are None (not
+    counted) rather than 0."""
 
     def __init__(self, command: str, deadline: Optional[float] = None):
+        super().__init__(deadline=deadline)
         self.command = command
-        self.nvars = 0
-        self.clauses: list[list[int]] = []
-        self.deadline = deadline
-        self.stats_solves = 0
         self.stats_conflicts: Optional[int] = None
         self.stats_decisions: Optional[int] = None
 
-    def new_var(self) -> int:
-        self.nvars += 1
-        return self.nvars
-
-    def add_clause(self, lits: Sequence[int]) -> None:
-        self.clauses.append(list(lits))
-
     def solve(self, assumptions: Sequence[int] = ()) -> SolveResult:
         self.stats_solves += 1
-        cnf = self.clauses + [[a] for a in assumptions]
+        if not self.ok:
+            return SolveResult(UNSAT)
+        cnf = self.clauses + [[l] for l in self.trail] + [[a] for a in assumptions]
         text = write_dimacs(self.nvars, cnf)
         with tempfile.TemporaryDirectory(prefix="chainforge-sat-") as d:
             inp = os.path.join(d, "in.cnf")

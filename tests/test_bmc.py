@@ -519,6 +519,19 @@ def test_simple_run_exists_on_a_cycle():
     assert _live_vars(unr) <= _live_vars(ref)
 
 
+def test_simple_run_exists_refutes_more_states_than_declared_with_no_solve():
+    """A run of a 3-state model has at most 3 distinct states, so asking
+    for 4 answers no with no solve and remembers the refutation."""
+    model = table_model("tri", [[1], [2], [0]])
+    src = Pin(state_eq(model, 0))
+    unr = Unrolling(model)
+    calls = unr.solver.stats_solves
+    assert simple_run_exists(unr, src, 4) is False
+    assert unr.solver.stats_solves == calls
+    assert unr.simple_runs[unr.pin_id(src)] == (0, 4)
+    assert simple_run_exists(unr, src, 3) is True
+
+
 def _random_table_case(rng):
     """A random machine (not strongly connected in general) with 2-4
     properties, some on two states, some with a pinned input."""

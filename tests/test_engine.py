@@ -6,9 +6,10 @@ import pytest
 
 from chainforge import bmc, encode, engine
 from chainforge.bmc import Unrolling
-from chainforge.dsl import parse_properties, parse_state_set
-from chainforge.engine import (EngineConfig, FAILED, MINIMAL, MINIMISED, MULTI,
-                               generate_chain, partition_vertex_sets)
+from chainforge.dsl import parse_model, parse_properties, parse_state_set
+from chainforge.engine import (EngineConfig, FAILED, MAX_ROUNDS, MAX_SPLITS, MINIMAL,
+                               MINIMISED, MULTI, NO_SINGLE_CHAIN, generate_chain,
+                               partition_vertex_sets)
 from chainforge.model import (Property, SortError, TRUE, disj, eval_expr, replay,
                               run_trace)
 from chainforge.oracle import (oracle_min_chain, pair_min_weights,
@@ -455,6 +456,44 @@ def test_partition_stops_on_a_conflict_free_unchainable_set():
                          EngineConfig(k_max=6))
     assert res.status == FAILED
     assert res.reason == "no single chain covers the property set"
+
+
+M62B_MODEL = """
+model m62b {
+  state x : 0..3 init 0;
+  state f : bool init false;
+  input a : 0..2;
+  trans {
+    x' = (a == 2) ? (3) : ((a == 1) ? (3) : ((!f) ? (0 < x ? x - 1 : x) : (0)));
+    f' = (x == 3) ? !f : f;
+  }
+}
+"""
+
+M62B_PROPS = """
+property p0 { assume x < 1; assert true; }
+property p1 { assume a == 1; assert true; }
+property p2 { assume a == 1 && f; assert true; }
+property p3 { assume x < 1; assert true; }
+"""
+
+
+def test_a_search_stopped_at_a_limit_claims_no_more():
+    """On this two-variable model a 3-step chain exists, but the search
+    may stop at a split or round limit first: then the reason names the
+    limit and never says that no single chain exists."""
+    model, diags = parse_model(M62B_MODEL)
+    assert model is not None, [str(d) for d in diags]
+    props, _ = parse_properties(M62B_PROPS, model)
+    assert oracle_min_chain(model, props, model.init_expr(), TRUE) == 3
+    res = generate_chain(model, props, model.init_expr(), TRUE, EngineConfig(k_max=16))
+    assert NO_SINGLE_CHAIN not in res.reason
+    if res.status == FAILED:
+        assert (f"{MAX_SPLITS} refinement splits" in res.reason
+                or f"{MAX_ROUNDS} check/repair rounds" in res.reason), res.reason
+    else:
+        for c in res.chains:
+            _check_chain(model, props, TRUE, c)
 
 
 def test_a_class_without_a_chain_fails_the_run():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from chainforge import sat
+from chainforge.bmc import Unrolling
 from chainforge.sat import (ExternalSolver, Solver, SolverLimit,
                             make_solver, read_dimacs, write_dimacs)
 
@@ -417,6 +419,37 @@ def test_external_backend_sat_unsat_and_core():
     assert res.status == "unsat"
     assert res.core is None
     assert ext.stats_solves == 3
+    ext.add_clause([-y])             # contradicts level 0: answered with no launch
+    ext.command = "false"
+    assert ext.solve().status == "unsat"
+
+
+def test_external_backend_sends_the_embedded_clause_stream(cruise_model, cruise_props,
+                                                          cruise_final, monkeypatch):
+    """Fed the same calls, the external backend's CNF is the embedded
+    solver's stored clauses, one unit per literal fixed at level 0 and
+    the assumptions: both fold one clause stream."""
+    def feed(solver):
+        unr = Unrolling(cruise_model, solver)
+        unr.ensure(6)
+        with unr.scope() as fresh:     # its literals end fixed false at level 0
+            g = fresh()
+            unr.pin(g, unr.pred_lit(cruise_props[0].assumption, 0))
+        return unr.pred_lit(cruise_final, 6)
+
+    ext, emb = ExternalSolver(f"{sys.executable} {STUB}"), Solver()
+    goal = feed(ext)
+    assert feed(emb) == goal
+    sent = []
+
+    def recording(nvars, clauses):
+        sent.append((nvars, [list(c) for c in clauses]))
+        return write_dimacs(nvars, clauses)
+
+    monkeypatch.setattr(sat, "write_dimacs", recording)
+    assert ext.solve([goal]).status == "sat"
+    assert emb.trail
+    assert sent == [(emb.nvars, emb.clauses + [[l] for l in emb.trail] + [[goal]])]
 
 
 def test_make_solver_env_selection(monkeypatch):
