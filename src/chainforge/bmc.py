@@ -16,6 +16,11 @@ scope, even when the solve raises, every literal it handed out is fixed
 false at level 0, so its clauses are satisfied for good and later solves
 never assign or propagate them.
 
+`get_kreach_edges` asks every pair open at one depth in one query, under
+one guard per source pin that fixes the source's trigger at step 0, so
+each witness search ranges over the runs from the source, not over the
+sources; a witness still resolves every open pair it satisfies, of
+whichever source.
 `simple_run_exists` bounds depth rather than probing it: it tells the
 k-reach build when deeper queries from a source can find nothing (the
 recurrence diameter as a completeness threshold).  `check_path` is the
@@ -44,6 +49,14 @@ from .model import (Expr, Model, SPACE_STATE, SPACE_INPUT, TRUE, eval_expr,
 
 class BmcError(Exception):
     pass
+
+
+class HorizonError(BmcError):
+    """A path query is unsatisfiable with none of its vertices pinned: no
+    run as long as the unrolling's horizon keeps to the invariant and the
+    input assumption.  Every frame up to the horizon asserts both, so
+    the answer depends on how deep earlier queries unrolled, not on the
+    path."""
 
 
 @dataclass(frozen=True)
@@ -289,42 +302,55 @@ def get_kreach_edges(unr: Unrolling, pairs: dict, k: int) -> set:
     witness's decoded k-step run in `Unrolling.witness` under the pin ids
     of every pair it resolves (one run shared by all of them).
 
-    Each pair gets a selector that implies its pin literals, and one
-    guard implies that some selector holds; every witness query solves
-    under that guard.  Every pair whose pin literals all hold in the
-    witness is removed and its selector fixed false at level 0, until
-    the query is unsatisfiable.  So the depth keeps one query, and what
-    the solver learns under the guard carries over to its later
-    witnesses.  The selectors and the guard share one scope."""
+    Each pair gets a selector that implies its target's literals at step
+    k, and each source pin, in `pairs` order, one guard that implies the
+    source's literals at step 0 and that some selector of its open pairs
+    holds.  Fixing the source through the guard leaves each witness
+    search only the run from it to choose.  A source's witness queries
+    solve under its guard until it is unsatisfiable or the source has no
+    open pair left; a source whose pairs earlier witnesses all resolved
+    gets no guard.  Every open pair whose pin literals all hold in a
+    witness, whatever its source, is removed and its selector fixed
+    false at level 0, and so is a guard once its source is done.  The
+    depth keeps one query, so what the solver learns carries over from
+    source to source.  The selectors and the guards share one scope."""
     if not pairs:
         return set()
     unr.ensure(max(k, 1))
     found: set = set()
-    remaining: dict = {}   # key -> (selector, pin literals), in `pairs` order
+    remaining: dict = {}   # key -> (selector, source and target literals)
+    by_src: dict[Pin, list] = {}   # source pin -> its keys, in `pairs` order
     with unr.scope() as fresh:
         for key, (src, dst) in pairs.items():
             s = fresh()
-            lits = _pin_lits(unr, src, 0, with_psi=True)
-            lits += _pin_lits(unr, dst, k, with_psi=(k == 0))
-            for lit in lits:
+            dst_lits = _pin_lits(unr, dst, k, with_psi=(k == 0))
+            for lit in dst_lits:
                 unr.pin(s, lit)
-            remaining[key] = (s, lits)
-        g = fresh()
-        unr.pin(g, *(s for s, _ in remaining.values()))
-        while remaining:
-            res = unr.solver.solve([g])
-            if res.status == sat.UNSAT:
-                break
-            hits = [key for key, (_, lits) in remaining.items()
-                    if all(res.model[abs(lit)] == (lit > 0) for lit in lits)]
-            if not hits:
-                raise BmcError("k-reach witness matched no pending pair")
-            found.update(hits)
-            run = unr.decode_run(res.model, k)
-            for key in hits:
-                src, dst = pairs[key]
-                unr.witness[(unr.pin_id(src), unr.pin_id(dst))] = run
-                unr.solver.add_clause([-remaining.pop(key)[0]])
+            remaining[key] = (s, _pin_lits(unr, src, 0, with_psi=True) + dst_lits)
+            by_src.setdefault(src, []).append(key)
+        for src, keys in by_src.items():
+            keys = [key for key in keys if key in remaining]
+            if not keys:
+                continue
+            g = fresh()
+            for lit in _pin_lits(unr, src, 0, with_psi=True):
+                unr.pin(g, lit)
+            unr.pin(g, *(remaining[key][0] for key in keys))
+            while any(key in remaining for key in keys):
+                res = unr.solver.solve([g])
+                if res.status == sat.UNSAT:
+                    break
+                hits = [key for key, (_, lits) in remaining.items()
+                        if all(res.model[abs(lit)] == (lit > 0) for lit in lits)]
+                if not hits:
+                    raise BmcError("k-reach witness matched no pending pair")
+                found.update(hits)
+                run = unr.decode_run(res.model, k)
+                for key in hits:
+                    src_pin, dst_pin = pairs[key]
+                    unr.witness[(unr.pin_id(src_pin), unr.pin_id(dst_pin))] = run
+                    unr.solver.add_clause([-remaining.pop(key)[0]])
+            unr.solver.add_clause([-g])
     return found
 
 
@@ -506,8 +532,8 @@ def _probe(unr: Unrolling, tags: list[int], a: int,
     members = set(res.core)
     idxs = [i for i in range(a, b + 1) if tags[i] in members]
     if not idxs:
-        raise BmcError(f"path query unsatisfiable without any pinned vertex: "
-                       f"no run of {unr.horizon} steps satisfies the "
-                       f"invariant and input assumption")
+        raise HorizonError(f"path query unsatisfiable without any pinned vertex: "
+                           f"no run of {unr.horizon} steps satisfies the "
+                           f"invariant and input assumption")
     return res, idxs
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import sat
-from .bmc import PathCheck, Unrolling, check_path, path_feasible
+from .bmc import HorizonError, PathCheck, Unrolling, check_path, path_feasible
 from .model import (BOOL, TRUE, BinOp, Const, Expr, Model, Property,
                     SPACE_NEXT, SPACE_STATE, SPACE_INPUT, SortError, TestChain,
                     check_spaces, conj, disj, reachable_states, replay, sort_of)
@@ -230,7 +230,9 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     """Compute a covering test chain (or several when the properties do
     not admit a single one and partitioning is enabled).  Raises
     SortError for ill-sorted inputs and sat.SolverLimit when the deadline
-    or a conflict budget runs out."""
+    or a conflict budget runs out.  A path query that no run as long as
+    the unrolling's horizon satisfies (`bmc.HorizonError`) ends the run
+    `failed`, with that error as the reason."""
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
     stats = Stats()
@@ -245,6 +247,8 @@ def generate_chain(model: Model, props, init_expr: Expr, final_expr: Expr,
     unr = Unrolling(model, solver, invariant)
     try:
         result = _generate(unr, list(props), init_expr, final_expr, cfg, stats)
+    except HorizonError as ex:
+        result = ChainResult([], FAILED, str(ex))
     finally:
         stats.solver_calls = solver.stats_solves
         stats.solver_conflicts = solver.stats_conflicts

@@ -21,6 +21,28 @@ property p2 { assume mode == ON && brake; assert next(mode) == DIS; }
 """
 
 
+#: No run of two steps keeps to the invariant (x reaches 2 and f stays
+#: false), so on an unrolling that deep a path query has no run, whatever
+#: it pins; and f never holds, so no chain covers both properties.
+HORIZON_MODEL = """
+model horizon {
+  state x : 0..2 init 0;
+  state f : bool init false;
+  input a : 0..2;
+  invariant x <= 1 || f;
+  trans {
+    x' = x < 2 ? x + 1 : x;
+    f' = false;
+  }
+}
+"""
+
+HORIZON_PROPS = """
+property p0 { assume f; assert true; }
+property p1 { assume a == 1; assert true; }
+"""
+
+
 @pytest.fixture(scope="session")
 def cruise_model():
     text = (BENCHES / "cruise1" / "model.rsys").read_text()
@@ -99,6 +121,55 @@ def table_family_case(seed: int):
                                           int_const(rng.randrange(m))))
         props.append(Property(f"p{j}", trigger, TRUE))
     return model, props, state_eq(model, 0), TRUE
+
+
+def multi_var_case(seed: int):
+    """Multi-variable model `seed`: `x : 0..X` (X in 2-5) and `y : 0..Y`
+    (Y in 1-3), both init 0, and `f : bool` init false; inputs
+    `a : 0..2` and `b : bool`.  With probability 0.3 each, the input
+    assumption `!(b && a == 2)` and the invariant `x <= c || f` (c in
+    X-2..X, not always inductive).  `x'` and `y'` are 1-3 guarded `? :`
+    levels over saturating +1 and -1, 0, the variable itself or a
+    constant; `f'` toggles under a guard.  A guard is 1-2 atoms from
+    `x == c`, `x < c`, `y == c`, `f`, `!f`, `a == c`, `b`, `!b`.  2-4
+    properties `assume G; assert true;`, start at the declared init,
+    final true (k_max 16).  Returns (model, properties, the start set,
+    the final set)."""
+    rng = random.Random(seed)
+    hi = {"x": rng.randint(2, 5), "y": rng.randint(1, 3)}
+    atoms = [lambda: f"x == {rng.randint(0, hi['x'])}",
+             lambda: f"x < {rng.randint(1, hi['x'])}",
+             lambda: f"y == {rng.randint(0, hi['y'])}",
+             lambda: "f", lambda: "!f",
+             lambda: f"a == {rng.randint(0, 2)}", lambda: "b", lambda: "!b"]
+
+    def guard() -> str:
+        return " && ".join(rng.choice(atoms)() for _ in range(rng.randint(1, 2)))
+
+    def update(v: str) -> str:
+        leaves = [lambda: f"{v} < {hi[v]} ? {v} + 1 : {v}",
+                  lambda: f"0 < {v} ? {v} - 1 : {v}",
+                  lambda: "0", lambda: v, lambda: str(rng.randint(0, hi[v]))]
+        expr = rng.choice(leaves)()
+        for _ in range(rng.randint(1, 3)):
+            expr = f"({guard()}) ? ({rng.choice(leaves)()}) : ({expr})"
+        return expr
+
+    items = [f"state x : 0..{hi['x']} init 0;", f"state y : 0..{hi['y']} init 0;",
+             "state f : bool init false;", "input a : 0..2;", "input b : bool;"]
+    if rng.random() < 0.3:
+        items.append("assume !(b && a == 2);")
+    if rng.random() < 0.3:
+        items.append(f"invariant x <= {rng.randint(hi['x'] - 2, hi['x'])} || f;")
+    items.append(f"trans {{ x' = {update('x')}; y' = {update('y')}; "
+                 f"f' = ({guard()}) ? !f : f; }}")
+    model, diags = parse_model(f"model mv{seed} {{\n  " + "\n  ".join(items) + "\n}\n")
+    assert model is not None, [str(d) for d in diags]
+    text = "".join(f"property p{j} {{ assume {guard()}; assert true; }}\n"
+                   for j in range(rng.randint(2, 4)))
+    props, diags = parse_properties(text, model)
+    assert not any(d.severity == "error" for d in diags), [str(d) for d in diags]
+    return model, props, model.init_expr(), TRUE
 
 
 def random_paths(n_vertices: int, rng: random.Random, count: int):

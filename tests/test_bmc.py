@@ -368,9 +368,10 @@ def test_path_feasible_is_the_path_querys_verdict(cruise_model, cruise_final,
                 check_path(Unrolling(model, solver()), pins, ws).feasible
 
 
-def test_kreach_keeps_one_guard_per_depth():
-    """One `get_kreach_edges` call takes one selector per pair and one
-    guard from its scope, and leaves every one of them false at level 0;
+def test_kreach_keeps_one_guard_per_source():
+    """One `get_kreach_edges` call takes one selector per pair and at most
+    one guard per distinct source pin from its scope, and leaves every one
+    of them false at level 0;
     depth by depth, the pairs it returns are those whose minimal weight
     is that depth."""
     for seed in (3, 17, 40):
@@ -402,13 +403,29 @@ def test_kreach_keeps_one_guard_per_depth():
                 break
             handed.clear()
             found = get_kreach_edges(unr, query, k)
-            assert len(handed) == len(query) + 1
+            n_sources = len({src for src, _ in query.values()})
+            assert len(query) < len(handed) <= len(query) + n_sources
             assert all(unr.solver.assign[-lit] == 2 for lit in handed)
             assert found == {(a, b) for a, b in query
                              if want.get((name[a], name[b])) == k}
             for key in found:
                 del open_pairs[key]
         assert all(want.get((name[a], name[b]), 9) > 8 for a, b in open_pairs)
+
+
+def test_kreach_witness_resolves_pairs_of_other_sources():
+    """A witness found under one source's guard also resolves the open
+    pairs of the call's other sources whose pins hold in it: two sources
+    that hold in the same states are both resolved by one solve, and the
+    second gets no guard."""
+    m = table_model("two", [[1], [0]])
+    zero, one = state_eq(m, 0), state_eq(m, 1)
+    pairs = {"bare": (Pin(zero), Pin(one, TRUE)),
+             "asserted": (Pin(zero, TRUE), Pin(one, TRUE))}
+    unr = Unrolling(m)
+    before = unr.solver.stats_solves
+    assert get_kreach_edges(unr, pairs, 1) == {"bare", "asserted"}
+    assert unr.solver.stats_solves - before == 1
 
 
 def _witness_cases(cruise_model, cruise_props, cruise_final):

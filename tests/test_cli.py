@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from chainforge.cli import main
+from conftest import HORIZON_MODEL, HORIZON_PROPS
 
 BENCHES = Path(__file__).parent.parent / "benches"
 CRUISE = BENCHES / "cruise1"
@@ -83,6 +84,22 @@ def test_generate_unsatisfiable_final_exits_2(capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "unreachable" in out or "no chain" in out
+
+
+def test_generate_past_every_run_reports_a_failure(tmp_path):
+    """A run whose path queries outlive every run of the model is
+    reported `failed` with the failed exit code, not a traceback."""
+    model, props = tmp_path / "m.rsys", tmp_path / "p.props"
+    model.write_text(HORIZON_MODEL)
+    props.write_text(HORIZON_PROPS)
+    res = subprocess.run(
+        [sys.executable, "-m", "chainforge.cli", "generate", str(model), str(props),
+         "--final", "true", "--k-max", "16"],
+        capture_output=True, text=True)
+    assert res.returncode == 2
+    assert "status=failed" in res.stdout
+    assert "failure: path query unsatisfiable without any pinned vertex" in res.stdout
+    assert "Traceback" not in res.stderr
 
 
 def test_generate_parse_error_exits_3(tmp_path, capsys):

@@ -17,7 +17,8 @@ from chainforge.oracle import (oracle_min_chain, pair_min_weights,
                                table_model)
 from chainforge.reachgraph import ReachGraph, make_vertices
 from chainforge.sat import Solver
-from conftest import (PhaseTrueSolver, eden_table_case, random_paths, split_table_case,
+from conftest import (HORIZON_MODEL, HORIZON_PROPS, PhaseTrueSolver, eden_table_case,
+                      multi_var_case, random_paths, split_table_case,
                       table_family_case)
 
 
@@ -494,6 +495,62 @@ def test_a_search_stopped_at_a_limit_claims_no_more():
     else:
         for c in res.chains:
             _check_chain(model, props, TRUE, c)
+
+
+#: The reasons that name a limit the search stopped at, rather than a
+#: proof that no chain exists.
+LIMIT_REASONS = (f"within {MAX_SPLITS} refinement splits",
+                 f"within {MAX_ROUNDS} check/repair rounds",
+                 "no chain found for given bound",
+                 "satisfies the invariant and input assumption")
+
+
+def test_multi_variable_sweep_agrees_with_the_oracle():
+    """Differential sweep over seeded models with several state variables,
+    partitioning off: every chain replays and is no shorter than the
+    oracle's, a certified one is exactly as long, and a run fails only
+    where no chain exists or with a reason that names a limit."""
+    cfg = EngineConfig(k_max=16, allow_partition=False)
+    for seed in range(100):
+        model, props, init, final = multi_var_case(seed)
+        want = oracle_min_chain(model, props, init, final)
+        res = generate_chain(model, props, init, final, cfg)
+        for c in res.chains:
+            _check_chain(model, props, final, c)
+        if res.chains:
+            assert want is not None and res.total_length >= want, seed
+        if res.status == MINIMAL:
+            assert res.total_length == want, seed
+        if res.status == FAILED and want is not None:
+            assert any(r in res.reason for r in LIMIT_REASONS), (seed, res.reason)
+
+
+def test_a_path_query_past_every_run_fails_the_run():
+    """No run of two steps keeps to the invariant, so once the unrolling
+    is that deep, repair's path queries are unsatisfiable with no vertex
+    pinned: the run ends `failed` with that reason, partitioning on or
+    off, and no chain exists."""
+    model, diags = parse_model(HORIZON_MODEL)
+    assert model is not None, [str(d) for d in diags]
+    props = _props_of(model, HORIZON_PROPS)
+    assert oracle_min_chain(model, props, model.init_expr(), TRUE) is None
+    for partition in (True, False):
+        res = generate_chain(model, props, model.init_expr(), TRUE,
+                             EngineConfig(k_max=16, allow_partition=partition))
+        assert res.status == FAILED and not res.chains
+        assert res.reason.startswith("path query unsatisfiable without any "
+                                     "pinned vertex: no run of"), res.reason
+
+
+def test_other_bmc_errors_still_propagate(monkeypatch, cruise_model, cruise_props,
+                                          cruise_final):
+    """Only the horizon's error ends a run `failed`; any other `BmcError`
+    is a fault and reaches the caller."""
+    def broken(*args):
+        raise bmc.BmcError("broken query")
+    monkeypatch.setattr(engine, "check_path", broken)
+    with pytest.raises(bmc.BmcError, match="broken query"):
+        generate_chain(cruise_model, cruise_props, cruise_final, cruise_final)
 
 
 def test_a_class_without_a_chain_fails_the_run():

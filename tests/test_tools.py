@@ -50,3 +50,20 @@ def test_identity_compare_counts_outcomes_and_ignores_process_time(tmp_path, cap
     assert any(line.startswith(f"{b} family12: length 3,") and "6 repair checks" in line
                and line.endswith(", 11.5 s") for line in out)
     assert tool.compare(a, a) == 0
+
+
+def test_bench_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
+    """A gain is B better in at least nine of ten pairs, ties for neither
+    side, by more than A's interquartile range; worse is B's median past
+    the bound; anything between is `-`.  A `higher` metric is mirrored."""
+    verdict = _load("bench_pairs").verdict
+    a = [1.50, 1.52, 1.48, 1.55, 1.51, 1.49, 1.53, 1.50, 1.54, 1.47]
+    faster = [1.10, 1.12, 1.09, 1.15, 1.11, 1.08, 1.60, 1.10, 1.13, 1.12]
+    assert verdict(a, faster, "lower", 0.25) == "gain"
+    assert verdict(a, [x * 1.1 for x in a], "lower", 0.25) == "-"
+    assert verdict(a, [x * 1.3 for x in a], "lower", 0.25) == "worse"
+    assert verdict(faster, a, "higher", 0.25) == "gain"
+    # a tie is no win: B is never worse, but wins six of ten, then nine
+    flat = [1.0] * 10
+    assert verdict(flat, [1.0] * 4 + [0.5] * 6, "lower", 0.02) == "-"
+    assert verdict(flat, [1.0] + [0.5] * 9, "lower", 0.02) == "gain"
